@@ -3,8 +3,7 @@
 The dual projected-gradient loop behind the TV proximal operator is the
 inner loop that dominates reconstruction runs, so it gets a fused @njit
 kernel.  Set ``SDRED_NO_NUMBA=1`` in the environment to force the
-vectorized numpy path (handy for debugging and for the benchmark in
-``benchmarks/bench_tv_prox.py``, which times both).
+vectorized numpy path, which also runs whenever numba is not installed.
 """
 
 import os

@@ -10,9 +10,7 @@ Exit statuses: 0 success, 1 verification failure, 2 configuration error,
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -45,20 +43,13 @@ from .priors import (
     perturb_prior,
     verify_theorem3_1d,
 )
-from .solver import DivergenceError, Problem, SolverConfig, check_step_size, reference_zero, run_sd_red
+from .solver import DivergenceError, Problem, SolverConfig, default_gamma, reference_zero, run_sd_red
 from .theory import verify_theorem1_trace, verify_theorem2_trace, verify_theorem4_trace
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGE = 3
-
-
-def _auto_gamma(lam, L, tau):
-    report = check_step_size(lam, L, tau, 1.0)
-    if lam < 1.0 and report.contraction_threshold > 0.0:
-        return 0.5 * report.contraction_threshold
-    return 0.5 * report.nonexpansive_threshold
 
 
 def _prepare_out(cfg, out_override):
@@ -102,7 +93,7 @@ def _build_recon(cfg):
     )
     gamma = cfg["gamma"]
     if gamma == 0.0:
-        gamma = _auto_gamma(prior.lipschitz(cfg["sigma"]), fid.lipschitz, cfg["tau"])
+        gamma = default_gamma(prior.lipschitz(cfg["sigma"]), fid.lipschitz, cfg["tau"])
     return problem, gamma, phantom, mask, objective
 
 
@@ -181,18 +172,13 @@ def cmd_sweep(cfg, out_dir):
     else:
         runner = lambda cell: _run_sweep_cell_recon(cfg, cell)
 
-    workers = os.cpu_count() or 1
     results = [None] * len(cells)
     failures = []
-
-    def run_one(index):
+    for index, cell in enumerate(cells):
         try:
-            results[index] = runner(cells[index])
+            results[index] = runner(cell)
         except Exception as exc:  # recorded per cell, surfaced in the exit code
             failures.append((index, exc))
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run_one, range(len(cells))))
 
     rows = []
     for index, (cell, trace) in enumerate(zip(cells, results)):
@@ -216,7 +202,7 @@ def cmd_sweep(cfg, out_dir):
 
     if failures:
         lines = []
-        for index, exc in sorted(failures):
+        for index, exc in failures:
             tau, sigma, eps = cells[index]
             lines.append(f"cell {index} (tau={tau}, sigma={sigma}, eps={eps}): {exc}")
         (out_dir / "failures.txt").write_text("\n".join(lines) + "\n")

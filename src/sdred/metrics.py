@@ -22,7 +22,8 @@ _PHANTOM_ELLIPSES = [
 def psnr(reference, estimate, peak=None):
     """Peak signal-to-noise ratio in dB; +inf for identical inputs.
 
-    ``peak`` defaults to the maximum of the reference image.
+    ``peak`` defaults to the maximum of the reference image.  An error too
+    large to square in float64, as on a diverging iterate, gives -inf.
     """
     reference = np.asarray(reference, dtype=float)
     estimate = np.asarray(estimate, dtype=float)
@@ -37,7 +38,10 @@ def psnr(reference, estimate, peak=None):
     mse = float(np.mean((reference - estimate) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak**2 / mse)
+    ratio = peak**2 / mse
+    if ratio == 0.0:  # the squared error overflowed, as on a diverging iterate
+        return -math.inf
+    return 10.0 * math.log10(ratio)
 
 
 def ssim(reference, estimate, peak=None, window=8):

@@ -27,13 +27,25 @@ class DataFidelity:
         self.lipschitz = float(lipschitz)
 
     def value(self, x):
-        r = self.op.forward(x) - self.y
-        return 0.5 * float(np.sum(np.abs(r) ** 2))
+        return self._value_of(self.op.forward(x) - self.y)
 
     def gradient(self, x):
         """A^H (A x - y); the real part when x is a real array."""
         x = np.asarray(x)
-        g = self.op.adjoint(self.op.forward(x) - self.y)
+        return self._gradient_of(x, self.op.forward(x) - self.y)
+
+    def gradient_and_value(self, x):
+        """``(gradient(x), value(x))`` from one evaluation of A x - y."""
+        x = np.asarray(x)
+        r = self.op.forward(x) - self.y
+        return self._gradient_of(x, r), self._value_of(r)
+
+    @staticmethod
+    def _value_of(r):
+        return 0.5 * float(np.sum(np.abs(r) ** 2))
+
+    def _gradient_of(self, x, r):
+        g = self.op.adjoint(r)
         if np.isrealobj(x):
             return np.real(g)
         return g

@@ -81,12 +81,14 @@ class MatrixOperator(LinearOperator):
             raise ValueError("matrix operator needs a 2-D array")
         super().__init__((mat.shape[1],), (mat.shape[0],))
         self.mat = mat
+        # Kept once: the conjugate of a real matrix would be a full copy per call.
+        self._mat_h = mat.T if np.isrealobj(mat) else mat.conj().T
 
     def _forward(self, x):
         return self.mat @ x
 
     def _adjoint(self, y):
-        return self.mat.conj().T @ y
+        return self._mat_h @ y
 
     def spectral_norm(self):
         if self._norm_cache is None:

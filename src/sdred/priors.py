@@ -138,22 +138,32 @@ class MismatchedPrior(Prior):
         self.epsilon = float(epsilon)
         self.mode = mode
         self.direction_seed = int(direction_seed)
-        self._fixed_direction = {}
+        self._fixed_offsets = {}
         self.name = f"mismatched[{base.name}, eps={epsilon}, {mode}]"
 
     def _unit_direction(self, x):
-        if self.mode == "fixed":
-            key = np.shape(x)
-            if key not in self._fixed_direction:
-                rng = np.random.default_rng(self.direction_seed)
-                u = rng.standard_normal(key if key else (1,))
-                self._fixed_direction[key] = u / np.linalg.norm(u)
-            return self._fixed_direction[key]
-        rng = np.random.default_rng(_hashed_seed(x))
+        seed = self.direction_seed if self.mode == "fixed" else _hashed_seed(x)
+        rng = np.random.default_rng(seed)
         u = rng.standard_normal(np.shape(x) if np.shape(x) else (1,))
         return u / np.linalg.norm(u)
 
     def offset(self, x, sigma):
+        """The offset at x, of norm sigma*epsilon.
+
+        In fixed mode it depends on x only through its shape, so it is built
+        once per (shape, sigma) and returned read-only.
+        """
+        if self.mode == "hashed":
+            return self._build_offset(x, sigma)
+        key = (np.shape(x), sigma)
+        off = self._fixed_offsets.get(key)
+        if off is None:
+            off = self._build_offset(x, sigma)
+            off.setflags(write=False)
+            self._fixed_offsets[key] = off
+        return off
+
+    def _build_offset(self, x, sigma):
         if self.epsilon == 0.0:
             return np.zeros(np.shape(x))
         return (sigma * self.epsilon) * self._unit_direction(x).reshape(np.shape(x))

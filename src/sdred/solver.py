@@ -6,6 +6,7 @@ when one is attached.  Iterates are kept real (the gradient convention in
 :mod:`sdred.objectives` takes the real part for real images).
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -99,6 +100,17 @@ class IterateTrace:
         self.psnr.append(quality)
 
 
+def _sq_norm(v):
+    """||v||^2 of a real array as one dot product."""
+    v = v.ravel()
+    return float(v.dot(v))
+
+
+def _norm(v):
+    """||v|| of a real array; the same arithmetic as ``np.linalg.norm(v)``."""
+    return math.sqrt(_sq_norm(v))
+
+
 def residual(problem, x, use_mismatched=False):
     """G(x) = grad g(x) + tau*(x - D(x)), with D-hat when requested."""
     if use_mismatched:
@@ -145,6 +157,15 @@ def check_step_size(lam, L, tau, gamma):
     return StepSizeReport(t1, t2, in1, in2, regime)
 
 
+def default_gamma(lam, L, tau):
+    """Default step size: half the contraction threshold when the prior is
+    contractive (lam < 1), else half the nonexpansive threshold."""
+    report = check_step_size(lam, L, tau, 1.0)
+    if lam < 1.0 and report.contraction_threshold > 0.0:
+        return 0.5 * report.contraction_threshold
+    return 0.5 * report.nonexpansive_threshold
+
+
 def run_sd_red(problem, config):
     """Iterate SD-RED and return the diagnostic trace.
 
@@ -168,38 +189,40 @@ def run_sd_red(problem, config):
             f"(< {regime.contraction_threshold:.3e}) for a contractive prior"
         )
 
-    x = config.x0 if config.x0 is not None else problem.fidelity.adjoint_image()
+    fid, prior, mismatched = problem.fidelity, problem.prior, problem.mismatched
+    tau, sigma = problem.tau, problem.sigma
+    x = config.x0 if config.x0 is not None else fid.adjoint_image()
     x = np.asarray(x, dtype=float).copy()
     trace = IterateTrace()
 
     # The mismatch wrapper shares the base denoiser evaluation, so the true
     # residual plus the known offset gives the mismatched residual for free.
-    shared_offset = (
-        isinstance(problem.mismatched, MismatchedPrior)
-        and problem.mismatched.base is problem.prior
-    )
+    shared_offset = isinstance(mismatched, MismatchedPrior) and mismatched.base is prior
 
     peak = None
     if config.ground_truth is not None:
         peak = float(np.max(config.ground_truth))
 
-    def diagnostics(k, xk):
-        g = residual(problem, xk, use_mismatched=False)
+    def diagnostics(xk):
+        # Same arithmetic as residual(), with grad g(x) and g(x) sharing A x - y.
+        obj = None
+        if config.objective is None:
+            grad = fid.gradient(xk)
+        else:
+            grad, fid_value = fid.gradient_and_value(xk)
+            obj = fid_value + config.objective.value(xk)
+        g = grad + tau * (xk - prior.apply(xk, sigma))
+        g_hat = None
         if use_hat:
             if shared_offset:
-                g_hat = g - problem.tau * problem.mismatched.offset(xk, problem.sigma)
+                g_hat = g - tau * mismatched.offset(xk, sigma)
             else:
-                g_hat = residual(problem, xk, use_mismatched=True)
-        else:
-            g_hat = None
-        g_sq = float(np.sum(np.abs(g) ** 2))
-        g_hat_sq = None if g_hat is None else float(np.sum(np.abs(g_hat) ** 2))
-        obj = None
-        if config.objective is not None:
-            obj = problem.fidelity.value(xk) + config.objective.value(xk)
+                g_hat = grad + tau * (xk - mismatched.apply(xk, sigma))
+        g_sq = _sq_norm(g)
+        g_hat_sq = None if g_hat is None else _sq_norm(g_hat)
         dist = None
         if config.x_ref is not None:
-            dist = float(np.linalg.norm(xk - config.x_ref))
+            dist = _norm(xk - config.x_ref)
         quality = None
         if peak is not None:
             quality = psnr(config.ground_truth, xk, peak=peak)
@@ -207,7 +230,7 @@ def run_sd_red(problem, config):
 
     stopped_at = config.max_iters
     for k in range(config.max_iters):
-        g, g_hat, g_sq, g_hat_sq, obj, dist, quality = diagnostics(k, x)
+        g, g_hat, g_sq, g_hat_sq, obj, dist, quality = diagnostics(x)
         if dist is not None:
             if k == 0:
                 trace.r0 = dist
@@ -216,17 +239,17 @@ def run_sd_red(problem, config):
             trace.record(k, g_sq, g_hat_sq, obj, dist, quality)
         step_residual = g_hat if use_hat else g
         x_new = x - config.gamma * step_residual
-        if not np.all(np.isfinite(x_new)):
+        if not np.isfinite(x_new).all():
             raise DivergenceError(k + 1)
         if config.tol > 0.0:
-            change = np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1.0)
+            change = _norm(x_new - x) / max(_norm(x), 1.0)
             if change < config.tol:
                 x = x_new
                 stopped_at = k + 1
                 break
         x = x_new
 
-    _, _, g_sq, g_hat_sq, obj, dist, quality = diagnostics(stopped_at, x)
+    _, _, g_sq, g_hat_sq, obj, dist, quality = diagnostics(x)
     if dist is not None:
         trace.r_max = dist if trace.r_max is None else max(trace.r_max, dist)
     trace.record(stopped_at, g_sq, g_hat_sq, obj, dist, quality)
@@ -294,12 +317,7 @@ def reference_zero(problem, tol=1e-12, max_iters=100000, gamma=None):
         xstar = _cgnr(apply_m, apply_mt, rhs, tol * scale, max(200, 60 * rhs.size))
     else:
         if gamma is None:
-            lam = problem.prior.lipschitz(problem.sigma)
-            report = check_step_size(lam, fid.lipschitz, problem.tau, 1.0)
-            if lam < 1 and report.contraction_threshold > 0:
-                gamma = 0.5 * report.contraction_threshold
-            else:
-                gamma = 0.5 * report.nonexpansive_threshold
+            gamma = default_gamma(problem.prior.lipschitz(problem.sigma), fid.lipschitz, problem.tau)
         cfg = SolverConfig(
             gamma=gamma,
             max_iters=max_iters,

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from sdred.cli import main
 from sdred.io import read_tensor, read_trace_csv
@@ -94,6 +95,29 @@ class TestSweepCommand:
         dists = [float(r.split(",")[4]) for r in rows]
         for a, b in zip(dists, dists[1:]):
             assert b >= a - 1e-10
+
+
+    @pytest.mark.filterwarnings("ignore:step size", "ignore::RuntimeWarning")
+    def test_failed_cells_are_listed_and_set_the_exit_status(self, tmp_path, capsys):
+        grid = "num_lines = 10\nsize = 32\niters = 400\nsigma_grid = 1\nepsilon_grid = 0\n"
+        bad_tau = write_cfg(tmp_path, "kind = recon-gaussian-prior\ntau_grid = -1, 1\n" + grid,
+                            "bad.cfg")
+        out = tmp_path / "bad"
+        assert main(["sweep", "--config", bad_tau, "--out", str(out)]) == 1
+        assert (out / "failures.txt").read_text().startswith("cell 0 (tau=-1.0,")
+        assert len((out / "summary.csv").read_text().strip().splitlines()) == 2
+        # A step far past both theorem ranges overflows the iterate: exit 3
+        # even though another cell failed first for a different reason.
+        diverging = write_cfg(
+            tmp_path, "kind = recon-gaussian-prior\ngamma = 1000\ntau_grid = -1, 1\n" + grid,
+            "div.cfg",
+        )
+        out = tmp_path / "div"
+        assert main(["sweep", "--config", diverging, "--out", str(out)]) == 3
+        lines = (out / "failures.txt").read_text().splitlines()
+        assert [line.split(" (")[0] for line in lines] == ["cell 0", "cell 1"]
+        assert "non-finite iterate" in lines[1]
+        assert "non-finite iterate" in capsys.readouterr().err
 
 
 class TestPriorDistanceCommand:

@@ -29,6 +29,10 @@ class TestPsnr:
         img = np.random.default_rng(1).random((16, 16))
         assert abs(psnr(img, img + 0.1, peak=1.0) - 20.0) <= 1e-12
 
+    def test_overflowing_error_is_minus_infinite(self):
+        with np.errstate(over="ignore"):
+            assert psnr(np.zeros(4), np.full(4, 1e200), peak=1.0) == -math.inf
+
     def test_offset_equal_to_peak_gives_zero(self):
         img = np.random.default_rng(2).random((8, 8))
         assert abs(psnr(img, img + 1.0, peak=1.0)) <= 1e-12

@@ -74,6 +74,19 @@ class TestLeastSquares:
             lhs = np.linalg.norm(fid.gradient(x) - fid.gradient(z))
             assert lhs <= fid.lipschitz * np.linalg.norm(x - z) + 1e-8
 
+    def test_gradient_and_value_equal_separate_calls(self):
+        rng = np.random.default_rng(3)
+        for op in (MatrixOperator(rng.standard_normal((6, 4))),
+                   make_fourier_subsampling(make_radial_mask(8, 8, 3))):
+            fid = DataFidelity(op, op.forward(rng.standard_normal(op.input_shape)))
+            real = rng.standard_normal(op.input_shape)
+            for x in (real, real + 1j * rng.standard_normal(op.input_shape)):
+                grad, value = fid.gradient_and_value(x)
+                want = fid.gradient(x)
+                assert grad.dtype == want.dtype
+                assert np.array_equal(grad, want)
+                assert value == fid.value(x)
+
     def test_shape_mismatch(self):
         fid = DataFidelity(IdentityOperator((3,)), np.zeros(3))
         with pytest.raises(ValueError):

@@ -64,6 +64,18 @@ class TestForwardAdjoint:
         op = MatrixOperator(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert np.allclose(op.adjoint(np.array([1.0, 0.0])), [1.0, 2.0])
 
+    def test_matrix_adjoint_is_conjugate_transpose(self):
+        rng = np.random.default_rng(8)
+        real = rng.standard_normal((4, 3))
+        for mat in (real, real + 1j * rng.standard_normal((4, 3))):
+            op = MatrixOperator(mat)
+            for _ in range(10):
+                x = random_probe(rng, (3,), complex_=True)
+                y = random_probe(rng, (4,), complex_=True)
+                assert np.array_equal(op.adjoint(y), mat.conj().T @ y)
+                lhs, rhs = inner(y, op.forward(x)), inner(op.adjoint(y), x)
+                assert abs(lhs - rhs) <= 1e-12 * (np.linalg.norm(x) * np.linalg.norm(y) + 1.0)
+
     def test_identity_adjoint(self):
         y = np.arange(3.0)
         assert np.array_equal(IdentityOperator((3,)).adjoint(y), y)

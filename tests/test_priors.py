@@ -127,6 +127,30 @@ class TestPerturbPrior:
         x = np.random.default_rng(5).standard_normal(6)
         assert np.array_equal(hat.apply(x, 1.0), hat.apply(x.copy(), 1.0))
 
+    def test_fixed_offset_built_once_per_shape_and_sigma(self):
+        hat = perturb_prior(GaussianMapPrior(0.0, 1.0), 0.3, mode="fixed", direction_seed=4)
+        rng = np.random.default_rng(6)
+        first = hat.offset(rng.standard_normal(5), 2.0)
+        assert hat.offset(rng.standard_normal(5), 2.0) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        fresh = perturb_prior(GaussianMapPrior(0.0, 1.0), 0.3, mode="fixed", direction_seed=4)
+        assert np.array_equal(fresh.offset(np.zeros(5), 2.0), first)
+        # another sigma scales the same direction; another shape gets its own
+        assert np.allclose(hat.offset(np.zeros(5), 0.5), first / 4.0, rtol=1e-15, atol=0.0)
+        assert hat.offset(np.zeros((5, 1)), 2.0).shape == (5, 1)
+        assert np.array_equal(hat.offset(np.zeros(1), 2.0), hat.offset(np.ones(1), 2.0))
+
+    def test_hashed_offset_follows_the_input(self):
+        hat = perturb_prior(GaussianMapPrior(0.0, 1.0), 0.2, mode="hashed")
+        rng = np.random.default_rng(7)
+        x1, x2 = rng.standard_normal(6), rng.standard_normal(6)
+        o1, o2 = hat.offset(x1, 1.0), hat.offset(x2, 1.0)
+        assert np.linalg.norm(o1 - o2) > 1e-3
+        assert np.array_equal(hat.offset(x1.copy(), 1.0), o1)
+        assert o1.flags.writeable
+
     def test_rejects_negative_epsilon_and_bad_mode(self):
         base = GaussianMapPrior(0.0, 1.0)
         with pytest.raises(ValueError):
