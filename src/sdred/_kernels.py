@@ -1,33 +1,15 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot numeric kernels: the image-gradient stencils and the TV-prox dual loop.
 
 The dual projected-gradient loop behind the TV proximal operator is the
-inner loop that dominates reconstruction runs, so it gets a fused @njit
-kernel.  Set ``SDRED_NO_NUMBA=1`` in the environment to force the
-vectorized numpy path, which also runs whenever numba is not installed.
+inner loop that dominates reconstruction runs.  It is one numpy kernel that
+allocates its buffers once per call and nothing per iteration; there is no
+jit path and no environment switch.
 """
-
-import os
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("SDRED_NO_NUMBA", "0").lower() not in ("1", "true", "yes")
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-if not USE_NUMBA:
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+# perfbench records which kernel path ran; numpy is the only one.
+USE_NUMBA = False
 
 
 def grad2d(x):
@@ -51,96 +33,64 @@ def grad2d_adjoint(p):
     return out
 
 
-def tv_prox_dual_numpy(z, mu, step, max_iters, tol):
-    """Dual projected gradient for prox of mu*TV, vectorized numpy path.
+def _adjoint_flat(p, W, out):
+    """``out = D^T p`` for a dual ``p`` of shape (2, H*W) on the flattened image.
 
-    Returns (x, iterations_run, final_dual_residual) where the dual residual
-    is the max-norm change of the dual variable per sweep.
+    Per pixel the sum runs ``-p0 + p0[k-1] - p1 + p1[k-W]``, the order in
+    which :func:`grad2d_adjoint` accumulates, so both give equal values (an
+    exact zero may differ in sign).  The
+    entries of ``p`` on the row ends (horizontal) and the last row (vertical)
+    must be zero; adding those zeros leaves every sum unchanged.
     """
-    p = np.zeros((2,) + z.shape)
-    iters_run = 0
-    resid = np.inf
-    for iters_run in range(1, max_iters + 1):
-        w = z - grad2d_adjoint(p)
-        p_new = np.clip(p + step * grad2d(w), -mu, mu)
-        resid = np.abs(p_new - p).max()
-        p = p_new
-        if resid < tol:
-            break
-    return z - grad2d_adjoint(p), iters_run, resid
-
-
-@njit(cache=True)
-def tv_prox_dual_jit(z, mu, step, max_iters, tol):  # pragma: no cover - exercised via tv_prox_dual
-    H, W = z.shape
-    p = np.zeros((2, H, W))
-    w = np.empty((H, W))
-    resid = np.inf
-    iters_run = 0
-    for _ in range(max_iters):
-        iters_run += 1
-        # w = z - D^T p
-        for i in range(H):
-            for j in range(W):
-                acc = 0.0
-                if j == 0:
-                    acc -= p[0, i, 0]
-                elif j == W - 1:
-                    acc += p[0, i, W - 2]
-                else:
-                    acc += p[0, i, j - 1] - p[0, i, j]
-                if i == 0:
-                    acc -= p[1, 0, j]
-                elif i == H - 1:
-                    acc += p[1, H - 2, j]
-                else:
-                    acc += p[1, i - 1, j] - p[1, i, j]
-                w[i, j] = z[i, j] - acc
-        # p <- clip(p + step * D w), track max change
-        resid = 0.0
-        for i in range(H):
-            for j in range(W):
-                if j < W - 1:
-                    nv = p[0, i, j] + step * (w[i, j + 1] - w[i, j])
-                    nv = min(max(nv, -mu), mu)
-                    d = abs(nv - p[0, i, j])
-                    if d > resid:
-                        resid = d
-                    p[0, i, j] = nv
-                if i < H - 1:
-                    nv = p[1, i, j] + step * (w[i + 1, j] - w[i, j])
-                    nv = min(max(nv, -mu), mu)
-                    d = abs(nv - p[1, i, j])
-                    if d > resid:
-                        resid = d
-                    p[1, i, j] = nv
-        if resid < tol:
-            break
-    x = np.empty((H, W))
-    for i in range(H):
-        for j in range(W):
-            acc = 0.0
-            if j == 0:
-                acc -= p[0, i, 0]
-            elif j == W - 1:
-                acc += p[0, i, W - 2]
-            else:
-                acc += p[0, i, j - 1] - p[0, i, j]
-            if i == 0:
-                acc -= p[1, 0, j]
-            elif i == H - 1:
-                acc += p[1, H - 2, j]
-            else:
-                acc += p[1, i - 1, j] - p[1, i, j]
-            x[i, j] = z[i, j] - acc
-    return x, iters_run, resid
+    p0, p1 = p
+    n = out.size
+    np.negative(p0, out=out)
+    out[1:] += p0[:-1]
+    out -= p1
+    out[W:] += p1[: n - W]
+    return out
 
 
 def tv_prox_dual(z, mu, step, max_iters, tol):
-    """Prox of mu*anisotropic-TV via dual projected gradient (jit or numpy path)."""
+    """Prox of mu*anisotropic-TV via dual projected gradient (Chambolle 2004).
+
+    Returns (x, iterations_run, final_dual_residual) where the dual residual
+    is the max-norm change of the dual variable per sweep.  The loop runs on
+    the flattened image, so the stencils are shifts by 1 and by W, and it
+    reuses four buffers allocated once per call.
+    """
     z = np.ascontiguousarray(z, dtype=np.float64)
     if mu == 0.0:
         return z.copy(), 0, 0.0
-    if USE_NUMBA:
-        return tv_prox_dual_jit(z, float(mu), float(step), int(max_iters), float(tol))
-    return tv_prox_dual_numpy(z, float(mu), float(step), int(max_iters), float(tol))
+    mu, step, tol = float(mu), float(step), float(tol)
+    H, W = z.shape
+    n = H * W
+    zf = z.ravel()
+    # p and q are the current and next dual; they swap every iteration.  The
+    # horizontal entries on the row ends and the vertical entries on the last
+    # row are zero here and stay zero: the row ends are reset after each
+    # difference, and the vertical difference never reaches the last row.
+    p = np.zeros((2, n))
+    q = np.zeros((2, n))
+    w = np.empty(n)
+    d = np.empty((2, n))
+    row_ends = np.arange(W - 1, n - 1, W)
+    iters_run = 0
+    resid = np.inf
+    for iters_run in range(1, int(max_iters) + 1):
+        # w = z - D^T p
+        np.subtract(zf, _adjoint_flat(p, W, w), out=w)
+        # q = clip(p + step * D w, -mu, mu)
+        np.subtract(w[1:], w[:-1], out=q[0, :-1])
+        q[0, row_ends] = 0.0
+        np.subtract(w[W:], w[: n - W], out=q[1, : n - W])
+        q *= step
+        q += p
+        np.clip(q, -mu, mu, out=q)
+        np.subtract(q, p, out=d)
+        resid = max(d.max(), -d.min())
+        p, q = q, p
+        if resid < tol:
+            break
+    np.subtract(zf, _adjoint_flat(p, W, w), out=w)
+    return w.reshape(H, W), iters_run, resid

@@ -170,9 +170,11 @@ def run_sd_red(problem, config):
     """Iterate SD-RED and return the diagnostic trace.
 
     Starts from the adjoint image A^H y unless ``config.x0`` overrides it.
-    Records every ``record_stride`` iterations plus the final iterate; stops
-    early only when ``config.tol`` is positive and the relative change drops
-    below it.  Non-finite iterates abort with :class:`DivergenceError`.
+    Records every ``record_stride`` iterations plus the final iterate; the
+    objective, squared residual norms and PSNR are computed only there, the
+    distance to ``x_ref`` at every iterate (for ``r_max``).  Stops early only
+    when ``config.tol`` is positive and the relative change drops below it.
+    Non-finite iterates abort with :class:`DivergenceError`.
     """
     use_hat = config.use_mismatched and problem.mismatched is not None
     lam = problem.prior.lipschitz(problem.sigma)
@@ -203,14 +205,15 @@ def run_sd_red(problem, config):
     if config.ground_truth is not None:
         peak = float(np.max(config.ground_truth))
 
-    def diagnostics(xk):
-        # Same arithmetic as residual(), with grad g(x) and g(x) sharing A x - y.
+    def residuals(xk, with_objective):
+        # Same arithmetic as residual(); the objective, when asked for, shares
+        # A x - y with grad g(x).
         obj = None
-        if config.objective is None:
-            grad = fid.gradient(xk)
-        else:
+        if with_objective and config.objective is not None:
             grad, fid_value = fid.gradient_and_value(xk)
             obj = fid_value + config.objective.value(xk)
+        else:
+            grad = fid.gradient(xk)
         g = grad + tau * (xk - prior.apply(xk, sigma))
         g_hat = None
         if use_hat:
@@ -218,25 +221,32 @@ def run_sd_red(problem, config):
                 g_hat = g - tau * mismatched.offset(xk, sigma)
             else:
                 g_hat = grad + tau * (xk - mismatched.apply(xk, sigma))
-        g_sq = _sq_norm(g)
+        return g, g_hat, obj
+
+    def distance(xk):
+        # Taken at every iterate, recorded or not, because r_max needs it.
+        if config.x_ref is None:
+            return None
+        dist = _norm(xk - config.x_ref)
+        trace.r_max = dist if trace.r_max is None else max(trace.r_max, dist)
+        return dist
+
+    def record(k, xk, g, g_hat, obj, dist):
         g_hat_sq = None if g_hat is None else _sq_norm(g_hat)
-        dist = None
-        if config.x_ref is not None:
-            dist = _norm(xk - config.x_ref)
         quality = None
         if peak is not None:
             quality = psnr(config.ground_truth, xk, peak=peak)
-        return g, g_hat, g_sq, g_hat_sq, obj, dist, quality
+        trace.record(k, _sq_norm(g), g_hat_sq, obj, dist, quality)
 
     stopped_at = config.max_iters
     for k in range(config.max_iters):
-        g, g_hat, g_sq, g_hat_sq, obj, dist, quality = diagnostics(x)
-        if dist is not None:
-            if k == 0:
-                trace.r0 = dist
-            trace.r_max = dist if trace.r_max is None else max(trace.r_max, dist)
-        if k % config.record_stride == 0:
-            trace.record(k, g_sq, g_hat_sq, obj, dist, quality)
+        recorded = k % config.record_stride == 0
+        g, g_hat, obj = residuals(x, recorded)
+        dist = distance(x)
+        if k == 0:
+            trace.r0 = dist
+        if recorded:
+            record(k, x, g, g_hat, obj, dist)
         step_residual = g_hat if use_hat else g
         x_new = x - config.gamma * step_residual
         if not np.isfinite(x_new).all():
@@ -249,10 +259,8 @@ def run_sd_red(problem, config):
                 break
         x = x_new
 
-    _, _, g_sq, g_hat_sq, obj, dist, quality = diagnostics(x)
-    if dist is not None:
-        trace.r_max = dist if trace.r_max is None else max(trace.r_max, dist)
-    trace.record(stopped_at, g_sq, g_hat_sq, obj, dist, quality)
+    g, g_hat, obj = residuals(x, True)
+    record(stopped_at, x, g, g_hat, obj, distance(x))
     trace.final = x
     trace.stopped_at = stopped_at
     return trace

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from sdred import solver
+from sdred.metrics import psnr
 from sdred.objectives import DataFidelity, L1Norm, moreau_envelope
 from sdred.operators import IdentityOperator, MatrixOperator
 from sdred.priors import GaussianMapPrior, LinearPrior, ProximalPrior, perturb_prior
@@ -130,6 +132,26 @@ class TestRunSdRed:
         cfg = SolverConfig(gamma=0.05, max_iters=10, record_stride=4, x0=np.zeros(1))
         trace = run_sd_red(prob, cfg)
         assert trace.iters == [0, 4, 8, 10]
+
+    def test_objective_and_psnr_only_at_recorded_iterates(self, monkeypatch):
+        counts = {"objective": 0, "psnr": 0}
+
+        class CountingObjective:
+            def value(self, x):
+                counts["objective"] += 1
+                return 0.0
+
+        def counting_psnr(*args, **kwargs):
+            counts["psnr"] += 1
+            return psnr(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "psnr", counting_psnr)
+        prob = one_d_problem()
+        cfg = SolverConfig(gamma=0.05, max_iters=10, record_stride=4, x0=np.zeros(1),
+                           objective=CountingObjective(), ground_truth=np.ones(1))
+        trace = run_sd_red(prob, cfg)
+        assert trace.iters == [0, 4, 8, 10]
+        assert counts == {"objective": 4, "psnr": 4}
 
     @pytest.mark.filterwarnings("ignore:step size")
     def test_tolerance_stop(self):
