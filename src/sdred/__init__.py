@@ -4,7 +4,6 @@ theorem-bound verification at desk scale."""
 from .objectives import AnisotropicTV, DataFidelity, L1Norm, moreau_envelope, moreau_gradient
 from .operators import (
     CoilOperator,
-    FiniteDifferenceOperator,
     FourierSubsampling,
     IdentityOperator,
     LinearOperator,
@@ -13,7 +12,6 @@ from .operators import (
     SamplingMask,
     ShapeMismatchError,
     estimate_spectral_norm,
-    finite_difference,
     gaussian_coil_maps,
     make_coil_operator,
     make_fourier_subsampling,

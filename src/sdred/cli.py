@@ -5,7 +5,7 @@ Every command takes ``--config`` (a ``key = value`` file), an output
 directory (``--out`` or the config's ``out`` key), and an optional ``--seed``
 override; the fully resolved configuration is echoed next to the artifacts.
 Exit statuses: 0 success, 1 verification failure, 2 configuration error,
-3 numerical divergence.
+3 numerical divergence, 4 internal error.
 """
 
 import argparse
@@ -50,6 +50,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGE = 3
+EXIT_ERROR = 4
 
 
 def _prepare_out(cfg, out_override):
@@ -377,9 +378,9 @@ def main(argv=None):
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGE
-    except (ValueError, RuntimeError) as exc:
+    except Exception as exc:  # a crash, not a verdict: exit 1 is the commands' own
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

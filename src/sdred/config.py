@@ -52,6 +52,8 @@ _COMMON = {
     "out": (_str, ""),
 }
 
+_MISMATCH_MODE = (_choice("fixed", "hashed"), "fixed")
+
 _RECON_BASE = {
     **_COMMON,
     "size": (_int, 128),
@@ -63,7 +65,7 @@ _RECON_BASE = {
     "iters": (_int, 500),
     "tolerance": (_float, 0.0),
     "epsilon": (_float, 0.0),
-    "mismatch_mode": (_choice("fixed", "hashed"), "fixed"),
+    "mismatch_mode": _MISMATCH_MODE,
     "record_stride": (_int, 1),
 }
 
@@ -78,15 +80,26 @@ _GAUSSIAN_KEYS = {
     "prior_mean": (_float, 0.0),
 }
 
-_LINEAR_SWEEP = {
-    **_COMMON,
-    "n": (_int, 8),
-    "lam": (_float, 0.5),
-    "iters": (_int, 3000),
+_GRIDS = {
     "tau_grid": (_float_list, _REQUIRED),
     "sigma_grid": (_float_list, _REQUIRED),
     "epsilon_grid": (_float_list, _REQUIRED),
 }
+
+_DISTANCE = {
+    "epsilon": (_float, 0.1),
+    "mismatch_mode": _MISMATCH_MODE,
+    "sigma_grid": (_float_list, _REQUIRED),
+    "test_points": (_int, 10),
+    "point_scale": (_float, 1.0),
+}
+
+
+def _swept(schema):
+    """A sweep schema: the single tau/sigma/epsilon keys become trailing grids."""
+    kept = {k: v for k, v in schema.items() if k not in ("tau", "sigma", "epsilon")}
+    return {**kept, **_GRIDS}
+
 
 SCHEMAS = {
     "recon": {
@@ -94,21 +107,14 @@ SCHEMAS = {
         "recon-gaussian-prior": {**_RECON_BASE, **_GAUSSIAN_KEYS},
     },
     "sweep": {
-        "linear-theory": _LINEAR_SWEEP,
-        "recon-tv": {
-            **{k: v for k, v in {**_RECON_BASE, **_TV_KEYS}.items()
-               if k not in ("tau", "sigma", "epsilon")},
-            "tau_grid": (_float_list, _REQUIRED),
-            "sigma_grid": (_float_list, _REQUIRED),
-            "epsilon_grid": (_float_list, _REQUIRED),
-        },
-        "recon-gaussian-prior": {
-            **{k: v for k, v in {**_RECON_BASE, **_GAUSSIAN_KEYS}.items()
-               if k not in ("tau", "sigma", "epsilon")},
-            "tau_grid": (_float_list, _REQUIRED),
-            "sigma_grid": (_float_list, _REQUIRED),
-            "epsilon_grid": (_float_list, _REQUIRED),
-        },
+        "linear-theory": _swept({
+            **_COMMON,
+            "n": (_int, 8),
+            "lam": (_float, 0.5),
+            "iters": (_int, 3000),
+        }),
+        "recon-tv": _swept({**_RECON_BASE, **_TV_KEYS}),
+        "recon-gaussian-prior": _swept({**_RECON_BASE, **_GAUSSIAN_KEYS}),
     },
     "verify-bounds": {
         "linear-theory": {
@@ -139,29 +145,13 @@ SCHEMAS = {
         },
     },
     "prior-distance": {
-        "recon-tv": {
-            **_COMMON,
-            "size": (_int, 32),
-            "tv_weight": (_float, 0.05),
-            "inner_iters": (_int, 200),
-            "inner_tol": (_float, 1e-9),
-            "epsilon": (_float, 0.1),
-            "mismatch_mode": (_choice("fixed", "hashed"), "fixed"),
-            "sigma_grid": (_float_list, _REQUIRED),
-            "test_points": (_int, 10),
-            "point_scale": (_float, 1.0),
-        },
+        "recon-tv": {**_COMMON, "size": (_int, 32), **_TV_KEYS, **_DISTANCE},
         "recon-gaussian-prior": {
             **_COMMON,
             "size": (_int, 32),
-            "prior_variance": (_float, 1.0),
-            "prior_mean": (_float, 0.0),
+            **_GAUSSIAN_KEYS,
             "compare_variance": (_float, 0.0),  # 0: use the perturbation wrapper
-            "epsilon": (_float, 0.1),
-            "mismatch_mode": (_choice("fixed", "hashed"), "fixed"),
-            "sigma_grid": (_float_list, _REQUIRED),
-            "test_points": (_int, 10),
-            "point_scale": (_float, 1.0),
+            **_DISTANCE,
         },
     },
     "oracle-1d": {

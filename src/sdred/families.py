@@ -14,7 +14,7 @@ import numpy as np
 from .objectives import DataFidelity, L1Norm
 from .operators import MatrixOperator
 from .priors import LinearPrior, ProximalPrior, perturb_prior
-from .solver import Problem, SolverConfig, reference_zero
+from .solver import Problem, SolverConfig, default_gamma, reference_zero
 
 
 @dataclass
@@ -30,13 +30,29 @@ def _random_orthogonal(rng, n):
     return q * np.sign(np.diag(r))
 
 
+def _linear_base(seed, mat, lam, rng):
+    """Draw Q, b and y for the prior D(x) = lam*Q*x + b around a drawn matrix."""
+    n = mat.shape[1]
+    prior = LinearPrior(lam * _random_orthogonal(rng, n), 0.1 * rng.standard_normal(n))
+    y = rng.standard_normal(n)
+    op = MatrixOperator(mat)
+    return {
+        "seed": seed,
+        "mat": mat,
+        "prior": prior,
+        "lam": lam,
+        "y": y,
+        "op": op,
+        "L": op.spectral_norm() ** 2,
+    }
+
+
 def make_linear_contraction_instance(
     seed,
     n_max=64,
     lam_range=(0.2, 0.9),
     eps_range=(0.0, 0.5),
     t=500,
-    gamma_fraction=0.5,
 ):
     """Linear-Gaussian contraction instance with a dense-solve reference.
 
@@ -52,25 +68,11 @@ def make_linear_contraction_instance(
     epsilon = float(rng.uniform(*eps_range))
     tau = float(rng.uniform(0.5, 2.0))
     sigma = float(rng.uniform(0.5, 2.0))
-    prior = LinearPrior(lam * _random_orthogonal(rng, n), 0.1 * rng.standard_normal(n))
-    y = rng.standard_normal(n)
-
-    op = MatrixOperator(mat)
-    L = op.spectral_norm() ** 2
-    fid = DataFidelity(op, y, lipschitz=L)
-    mismatched = perturb_prior(prior, epsilon, mode="fixed", direction_seed=seed)
-    problem = Problem(fidelity=fid, prior=prior, tau=tau, sigma=sigma, mismatched=mismatched)
-
-    gamma = gamma_fraction * (1.0 - lam) * tau / (L + (1.0 + lam) * tau) ** 2
-
-    # Reference by direct linear solve: (A^T A + tau*(I - lam*Q)) x = A^T y + tau*b.
-    system = mat.T @ mat + tau * (np.eye(n) - prior.matrix)
-    x_ref = np.linalg.solve(system, mat.T @ y + tau * prior.offset)
-
-    config = SolverConfig(gamma=gamma, max_iters=t, x_ref=x_ref)
+    base = _linear_base(seed, mat, lam, rng)
+    problem, config = make_linear_sweep_cell(base, tau, sigma, epsilon, t)
     constants = {
-        "n": n, "lambda": lam, "L": L, "tau": tau, "sigma": sigma,
-        "epsilon": epsilon, "gamma": gamma, "t": t,
+        "n": n, "lambda": lam, "L": base["L"], "tau": tau, "sigma": sigma,
+        "epsilon": epsilon, "gamma": config.gamma, "t": t,
     }
     return TheoryInstance(problem=problem, config=config, constants=constants, seed=seed)
 
@@ -80,36 +82,25 @@ def make_linear_sweep_base(seed, n, lam):
     if not (0 < lam < 1):
         raise ValueError("sweep base needs a contractive prior, lam in (0, 1)")
     rng = np.random.default_rng(seed)
-    mat = rng.standard_normal((n, n)) / np.sqrt(n)
-    prior = LinearPrior(lam * _random_orthogonal(rng, n), 0.1 * rng.standard_normal(n))
-    y = rng.standard_normal(n)
-    op = MatrixOperator(mat)
-    return {
-        "seed": seed,
-        "mat": mat,
-        "prior": prior,
-        "lam": lam,
-        "y": y,
-        "op": op,
-        "L": op.spectral_norm() ** 2,
-    }
+    return _linear_base(seed, rng.standard_normal((n, n)) / np.sqrt(n), lam, rng)
 
 
-def make_linear_sweep_cell(base, tau, sigma, epsilon, t, gamma_fraction=0.5):
+def make_linear_sweep_cell(base, tau, sigma, epsilon, t):
     """Problem and solver config for one (tau, sigma, epsilon) sweep cell.
 
     The mismatch direction comes from the base seed, so it is identical
     across cells and the converged distance to the true fixed point scales
-    exactly with tau*sigma*epsilon at fixed tau.
+    exactly with tau*sigma*epsilon at fixed tau.  The reference is the dense
+    solve of (A^T A + tau*(I - lam*Q)) x = A^T y + tau*b.
     """
-    mat, prior, lam, L = base["mat"], base["prior"], base["lam"], base["L"]
+    mat, prior, y, L = base["mat"], base["prior"], base["y"], base["L"]
     n = mat.shape[1]
-    fid = DataFidelity(base["op"], base["y"], lipschitz=L)
+    fid = DataFidelity(base["op"], y, lipschitz=L)
     mismatched = perturb_prior(prior, epsilon, mode="fixed", direction_seed=base["seed"])
     problem = Problem(fidelity=fid, prior=prior, tau=tau, sigma=sigma, mismatched=mismatched)
-    gamma = gamma_fraction * (1.0 - lam) * tau / (L + (1.0 + lam) * tau) ** 2
+    gamma = default_gamma(base["lam"], L, tau)
     system = mat.T @ mat + tau * (np.eye(n) - prior.matrix)
-    x_ref = np.linalg.solve(system, mat.T @ base["y"] + tau * prior.offset)
+    x_ref = np.linalg.solve(system, mat.T @ y + tau * prior.offset)
     config = SolverConfig(gamma=gamma, max_iters=t, x_ref=x_ref)
     return problem, config
 
@@ -136,14 +127,14 @@ def make_prox_l1_instance(
     n_max=64,
     eps_range=(0.0, 0.5),
     t=2000,
-    gamma_fraction=0.5,
     weight_range=(0.05, 0.3),
     sigma_fixed=None,
 ):
     """l1 proximal-prior instance (lambda = 1) with tau = 1/sigma^2.
 
     The fidelity matrix has full column rank so the reference computations
-    converge linearly; gamma sits at ``gamma_fraction`` of 1/(L+2*tau).
+    converge linearly; gamma is :func:`~sdred.solver.default_gamma`, half of
+    1/(L+2*tau).
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, n_max + 1))
@@ -165,7 +156,7 @@ def make_prox_l1_instance(
     mismatched = perturb_prior(prior, epsilon, mode="fixed", direction_seed=seed)
     problem = Problem(fidelity=fid, prior=prior, tau=tau, sigma=sigma, mismatched=mismatched)
 
-    gamma = gamma_fraction / (L + 2.0 * tau)
+    gamma = default_gamma(prior.lipschitz(sigma), L, tau)
     x_ref = reference_zero(problem, gamma=gamma)
     config = SolverConfig(gamma=gamma, max_iters=t, x_ref=x_ref, objective=reg)
     constants = {

@@ -127,15 +127,14 @@ class AnisotropicTV(Regularizer):
             raise ValueError("anisotropic TV is defined for 2-D images")
         return self.weight * float(np.sum(np.abs(grad2d(x))))
 
-    def prox(self, z, mu, inner_iters=None, inner_tol=None):
+    def prox(self, z, mu):
         if mu < 0:
             raise ValueError("prox parameter must be nonnegative")
         z = np.asarray(z, dtype=float)
         if z.ndim != 2:
             raise ValueError("anisotropic TV is defined for 2-D images")
-        iters = self.inner_iters if inner_iters is None else int(inner_iters)
-        tol = self.inner_tol if inner_tol is None else float(inner_tol)
-        x, _, _ = tv_prox_dual(z, mu * self.weight, self.DUAL_STEP, iters, tol)
+        x, _, _ = tv_prox_dual(z, mu * self.weight, self.DUAL_STEP, self.inner_iters,
+                               self.inner_tol)
         return x
 
     def subgradient_bound(self, shape):

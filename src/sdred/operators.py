@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import grad2d, grad2d_adjoint
-
 
 class ShapeMismatchError(ValueError):
     """Input array shape does not match the operator's declared shape."""
@@ -203,33 +201,6 @@ class CoilOperator(LinearOperator):
         masked = np.where(self.mask.mask[None, :, :], y, 0)
         images = np.fft.ifft2(masked, norm="ortho", axes=(-2, -1))
         return (self.sensitivities.conj() * images).sum(axis=0)
-
-
-class FiniteDifferenceOperator(LinearOperator):
-    """Image gradient D: stacked forward differences with replicate boundary."""
-
-    def __init__(self, shape):
-        if len(shape) != 2:
-            raise ValueError("finite differences are defined for 2-D images")
-        super().__init__(shape, (2,) + tuple(shape))
-
-    def _forward(self, x):
-        return grad2d(x)
-
-    def _adjoint(self, p):
-        return grad2d_adjoint(p)
-
-
-def finite_difference(x):
-    """Forward differences of a 2-D real image, shape (2, H, W).
-
-    Channel 0 differences across columns (horizontal), channel 1 across rows
-    (vertical); the difference across the last column/row is zero.
-    """
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-D image, got shape {x.shape}")
-    return grad2d(x)
 
 
 def make_fourier_subsampling(mask: SamplingMask) -> FourierSubsampling:

@@ -8,7 +8,7 @@ when one is attached.  Iterates are kept real (the gradient convention in
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class SolverConfig:
     ground_truth: np.ndarray = None
     objective: object = None
     record_stride: int = 1
-    use_mismatched: bool = True
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -176,7 +175,7 @@ def run_sd_red(problem, config):
     when ``config.tol`` is positive and the relative change drops below it.
     Non-finite iterates abort with :class:`DivergenceError`.
     """
-    use_hat = config.use_mismatched and problem.mismatched is not None
+    use_hat = problem.mismatched is not None
     lam = problem.prior.lipschitz(problem.sigma)
     regime = check_step_size(lam, problem.fidelity.lipschitz, problem.tau, config.gamma)
     if regime.regime == "neither":
@@ -331,12 +330,11 @@ def reference_zero(problem, tol=1e-12, max_iters=100000, gamma=None):
             max_iters=max_iters,
             tol=tol,
             record_stride=max(1, max_iters // 10),
-            use_mismatched=False,
         )
-        xstar = run_sd_red(problem, cfg).final
+        xstar = run_sd_red(replace(problem, mismatched=None), cfg).final
 
-    res = float(np.linalg.norm(residual(problem, xstar, use_mismatched=False)))
-    res0 = float(np.linalg.norm(residual(problem, x0, use_mismatched=False)))
+    res = float(np.linalg.norm(residual(problem, xstar)))
+    res0 = float(np.linalg.norm(residual(problem, x0)))
     if res > 1e-9 * (1.0 + res0):
         raise ReferenceSolveError(
             f"reference solve stalled: ||G(x*)|| = {res:.3e} vs scale {1.0 + res0:.3e}"

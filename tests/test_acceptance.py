@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Bound checks run at the stated slacks; runtime limits use wall-clock time
-(the TV kernel is jit-warmed outside the timed section).
+(a first TV-prox call warms up the kernel outside the timed section).
 """
 
 import math
@@ -184,7 +184,7 @@ def test_criterion_7_error_term_monotonicity():
 
 
 def test_criterion_8_tv_reconstruction():
-    # jit warmup outside the timed section
+    # first-call warm-up of the TV kernel, outside the timed section
     AnisotropicTV(0.01, 5, 1e-9).prox(np.zeros((8, 8)), 0.1)
     t0 = time.perf_counter()
     phantom = sdred.make_phantom(128)

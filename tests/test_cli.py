@@ -67,6 +67,12 @@ class TestReconCommand:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["recon", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
 
+    def test_internal_error_exits_4_not_1(self, tmp_path, capsys):
+        # recon verifies nothing, so a rejected step size is a crash, not a failed bound.
+        cfg = write_cfg(tmp_path, RECON_SMALL + "gamma = -1\n")
+        assert main(["recon", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert "gamma must be strictly positive" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_grid_produces_one_trace_per_cell(self, tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from sdred.config import ConfigError, format_config, parse_pairs, resolve
+from sdred.config import _REQUIRED, SCHEMAS, ConfigError, format_config, parse_pairs, resolve
 
 
 RECON_TV = """
@@ -85,3 +85,47 @@ class TestEcho:
         text = "kind = oracle-1d\ndelta = 0.005\nsigma_grid = 0.5, 1, 2\n"
         cfg = resolve(text, "oracle-1d")
         assert resolve(format_config(cfg), "oracle-1d") == cfg
+
+
+REQ = "required"
+_RECON_HEAD = [
+    ("seed", 0), ("out", ""), ("size", 128), ("num_lines", REQ), ("coils", 0),
+    ("gamma", 0.0), ("iters", 500), ("tolerance", 0.0), ("mismatch_mode", "fixed"),
+    ("record_stride", 1),
+]
+_GRID_TAIL = [("tau_grid", REQ), ("sigma_grid", REQ), ("epsilon_grid", REQ)]
+_DISTANCE_TAIL = [
+    ("epsilon", 0.1), ("mismatch_mode", "fixed"), ("sigma_grid", REQ),
+    ("test_points", 10), ("point_scale", 1.0),
+]
+
+# Key order and defaults of the composed schemas, as written out by hand
+# before they were composed; the order is the order of config_resolved.cfg.
+COMPOSED_SCHEMAS = {
+    ("sweep", "linear-theory"): [
+        ("seed", 0), ("out", ""), ("n", 8), ("lam", 0.5), ("iters", 3000),
+    ] + _GRID_TAIL,
+    ("sweep", "recon-tv"): _RECON_HEAD + [
+        ("tv_weight", 0.05), ("inner_iters", 200), ("inner_tol", 1e-09),
+    ] + _GRID_TAIL,
+    ("sweep", "recon-gaussian-prior"): _RECON_HEAD + [
+        ("prior_variance", 1.0), ("prior_mean", 0.0),
+    ] + _GRID_TAIL,
+    ("prior-distance", "recon-tv"): [
+        ("seed", 0), ("out", ""), ("size", 32),
+        ("tv_weight", 0.05), ("inner_iters", 200), ("inner_tol", 1e-09),
+    ] + _DISTANCE_TAIL,
+    ("prior-distance", "recon-gaussian-prior"): [
+        ("seed", 0), ("out", ""), ("size", 32),
+        ("prior_variance", 1.0), ("prior_mean", 0.0), ("compare_variance", 0.0),
+    ] + _DISTANCE_TAIL,
+}
+
+
+class TestComposedSchemas:
+    @pytest.mark.parametrize("command, kind", sorted(COMPOSED_SCHEMAS))
+    def test_key_order_and_defaults(self, command, kind):
+        schema = SCHEMAS[command][kind]
+        got = [(key, REQ if default is _REQUIRED else default)
+               for key, (_, default) in schema.items()]
+        assert got == COMPOSED_SCHEMAS[(command, kind)]

@@ -24,6 +24,14 @@ def reference_tv_prox_dual(z, mu, step, max_iters, tol):
 
 
 class TestStencils:
+    def test_constant_image_zero_gradient(self):
+        assert np.all(kernels.grad2d(3.0 * np.ones((5, 7))) == 0)
+
+    def test_hand_2x2(self):
+        g = kernels.grad2d(np.array([[0.0, 1.0], [0.0, 1.0]]))
+        assert np.array_equal(g[0], [[1.0, 0.0], [1.0, 0.0]])  # horizontal
+        assert np.array_equal(g[1], np.zeros((2, 2)))  # vertical
+
     def test_grad_div_adjoint_pair(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

@@ -3,7 +3,6 @@ import pytest
 
 from sdred.operators import (
     CoilOperator,
-    FiniteDifferenceOperator,
     FourierSubsampling,
     IdentityOperator,
     MaskProjection,
@@ -11,7 +10,6 @@ from sdred.operators import (
     SamplingMask,
     ShapeMismatchError,
     estimate_spectral_norm,
-    finite_difference,
     gaussian_coil_maps,
     make_coil_operator,
     make_fourier_subsampling,
@@ -41,7 +39,6 @@ def all_test_operators():
         MaskProjection(mask),
         FourierSubsampling(mask),
         CoilOperator(mask, sens),
-        FiniteDifferenceOperator((6, 5)),
     ]
 
 
@@ -214,31 +211,6 @@ class TestCoilOperator:
     def test_coil_maps_normalized(self):
         maps = gaussian_coil_maps((16, 16), 5)
         assert np.allclose((maps**2).sum(axis=0), 1.0)
-
-
-class TestFiniteDifference:
-    def test_constant_image_zero_gradient(self):
-        assert np.all(finite_difference(3.0 * np.ones((5, 7))) == 0)
-
-    def test_hand_2x2(self):
-        g = finite_difference(np.array([[0.0, 1.0], [0.0, 1.0]]))
-        assert np.array_equal(g[0], [[1.0, 0.0], [1.0, 0.0]])  # horizontal
-        assert np.array_equal(g[1], np.zeros((2, 2)))  # vertical
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ShapeMismatchError):
-            finite_difference(np.zeros(5))
-
-    def test_adjoint_is_negative_divergence(self):
-        op = FiniteDifferenceOperator((6, 5))
-        rng = np.random.default_rng(21)
-        for _ in range(30):
-            x = rng.standard_normal((6, 5))
-            p = rng.standard_normal((2, 6, 5))
-            scale = np.linalg.norm(x) * np.linalg.norm(p) + 1.0
-            lhs = np.sum(op.forward(x) * p)
-            rhs = np.sum(x * op.adjoint(p))
-            assert abs(lhs - rhs) <= 1e-10 * scale
 
 
 class TestSpectralNorm:

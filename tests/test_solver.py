@@ -285,6 +285,23 @@ class TestReferenceZero:
         res0 = np.linalg.norm(residual(prob, fid.adjoint_image()))
         assert res <= 1e-9 * (1 + res0)
 
+    @pytest.mark.parametrize("family", ["l1", "linear"])
+    def test_attached_mismatch_is_ignored(self, family):
+        # Zer(G) belongs to the true prior: attaching D-hat changes no bit.
+        rng = np.random.default_rng(5)
+        n = 6
+        mat = rng.standard_normal((n + 4, n)) / np.sqrt(n)
+        fid = DataFidelity(MatrixOperator(mat), rng.standard_normal(n + 4))
+        if family == "l1":
+            prior = ProximalPrior(L1Norm(0.1))  # the long SD-RED run
+        else:
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            prior = LinearPrior(0.5 * q, 0.1 * rng.standard_normal(n))  # the CG solve
+        plain = Problem(fidelity=fid, prior=prior, tau=1.0, sigma=1.0)
+        attached = Problem(fidelity=fid, prior=prior, tau=1.0, sigma=1.0,
+                           mismatched=perturb_prior(prior, 0.3))
+        assert np.array_equal(reference_zero(attached), reference_zero(plain))
+
 
 class TestStepSizeCheck:
     def test_contraction_threshold_example(self):

@@ -63,7 +63,7 @@ def build(family, mismatch, seed, with_objective):
 
 def reference_run(problem, config):
     """The SD-RED loop as the run_sd_red docstring states it, one residual at a time."""
-    use_hat = config.use_mismatched and problem.mismatched is not None
+    use_hat = problem.mismatched is not None
     x = config.x0 if config.x0 is not None else problem.fidelity.adjoint_image()
     x = np.asarray(x, dtype=float).copy()
     trace = IterateTrace()
