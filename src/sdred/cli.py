@@ -9,8 +9,10 @@ Exit statuses: 0 success, 1 verification failure, 2 configuration error,
 """
 
 import argparse
+import csv
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +66,25 @@ def _prepare_out(cfg, out_override):
     return out_dir
 
 
+def _prior(cfg):
+    """The true prior of a TV or Gaussian config, and its TV objective (None for Gaussian)."""
+    if cfg["kind"] == "recon-tv":
+        reg = AnisotropicTV(cfg["tv_weight"], cfg["inner_iters"], cfg["inner_tol"])
+        return ProximalPrior(reg), reg
+    return GaussianMapPrior(cfg["prior_mean"], cfg["prior_variance"]), None
+
+
+def _perturbed(prior, cfg):
+    return perturb_prior(
+        prior, cfg["epsilon"], mode=cfg["mismatch_mode"], direction_seed=cfg["seed"]
+    )
+
+
+def _g_ratio(trace):
+    """Final over initial squared true-prior residual norm (0 when the run starts at a zero)."""
+    return trace.g_norm_sq[-1] / trace.g_norm_sq[0] if trace.g_norm_sq[0] > 0 else 0.0
+
+
 def _build_recon(cfg):
     size = cfg["size"]
     phantom = make_phantom(size)
@@ -75,31 +96,14 @@ def _build_recon(cfg):
         op = make_fourier_subsampling(mask)
     y = op.forward(phantom)
     fid = DataFidelity(op, y)
-
-    objective = None
-    if cfg["kind"] == "recon-tv":
-        reg = AnisotropicTV(cfg["tv_weight"], cfg["inner_iters"], cfg["inner_tol"])
-        prior = ProximalPrior(reg)
-        objective = reg
-    else:
-        prior = GaussianMapPrior(cfg["prior_mean"], cfg["prior_variance"])
-
-    mismatched = None
-    if cfg["epsilon"] > 0:
-        mismatched = perturb_prior(
-            prior, cfg["epsilon"], mode=cfg["mismatch_mode"], direction_seed=cfg["seed"]
-        )
+    prior, objective = _prior(cfg)
+    mismatched = _perturbed(prior, cfg) if cfg["epsilon"] > 0 else None
     problem = Problem(
         fidelity=fid, prior=prior, tau=cfg["tau"], sigma=cfg["sigma"], mismatched=mismatched
     )
     gamma = cfg["gamma"]
     if gamma == 0.0:
         gamma = default_gamma(prior.lipschitz(cfg["sigma"]), fid.lipschitz, cfg["tau"])
-    return problem, gamma, phantom, mask, objective
-
-
-def cmd_recon(cfg, out_dir):
-    problem, gamma, phantom, mask, objective = _build_recon(cfg)
     solver_cfg = SolverConfig(
         gamma=gamma,
         max_iters=cfg["iters"],
@@ -108,20 +112,26 @@ def cmd_recon(cfg, out_dir):
         objective=objective,
         record_stride=cfg["record_stride"],
     )
+    return problem, solver_cfg, mask
+
+
+def cmd_recon(cfg, out_dir):
+    problem, solver_cfg, mask = _build_recon(cfg)
     trace = run_sd_red(problem, solver_cfg)
 
     write_trace_csv(out_dir / "trace.csv", trace)
     write_tensor(out_dir / "final.mrt", trace.final)
     write_mask(out_dir / "mask.mrm", mask)
+    phantom = solver_cfg.ground_truth
     adjoint = problem.fidelity.adjoint_image()
     peak = float(phantom.max())
     final_psnr = psnr(phantom, trace.final, peak=peak)
     final_ssim = ssim(phantom, trace.final, peak=peak)
-    ratio = trace.g_norm_sq[-1] / trace.g_norm_sq[0] if trace.g_norm_sq[0] > 0 else 0.0
     summary = (
         f"iters={trace.stopped_at} psnr={final_psnr:.4f} ssim={final_ssim:.6f} "
         f"adjoint_psnr={psnr(phantom, adjoint, peak=peak):.4f} "
-        f"g_ratio={ratio:.6e} mask_ratio={mask.sampling_ratio:.4f} gamma={gamma:.6e}"
+        f"g_ratio={_g_ratio(trace):.6e} mask_ratio={mask.sampling_ratio:.4f} "
+        f"gamma={solver_cfg.gamma:.6e}"
     )
     (out_dir / "summary.txt").write_text(summary + "\n")
     print(summary)
@@ -149,18 +159,10 @@ def _run_sweep_cell_recon(cfg, cell):
     tau, sigma, eps = cell
     cell_cfg = dict(cfg)
     cell_cfg.update(tau=tau, sigma=sigma, epsilon=eps)
-    problem, gamma, phantom, _, objective = _build_recon(cell_cfg)
-    x_ref = reference_zero(problem, gamma=gamma, max_iters=max(20000, 10 * cfg["iters"]))
-    solver_cfg = SolverConfig(
-        gamma=gamma,
-        max_iters=cfg["iters"],
-        tol=cell_cfg["tolerance"],
-        x_ref=x_ref,
-        ground_truth=phantom,
-        objective=objective,
-        record_stride=cfg["record_stride"],
-    )
-    return run_sd_red(problem, solver_cfg)
+    problem, solver_cfg, _ = _build_recon(cell_cfg)
+    max_iters = max(20000, 10 * cfg["iters"])
+    x_ref = reference_zero(problem, gamma=solver_cfg.gamma, max_iters=max_iters)
+    return run_sd_red(problem, replace(solver_cfg, x_ref=x_ref))
 
 
 def cmd_sweep(cfg, out_dir):
@@ -188,14 +190,10 @@ def cmd_sweep(cfg, out_dir):
             continue
         name = f"trace_{index:03d}_tau{tau:g}_sigma{sigma:g}_eps{eps:g}.csv"
         write_trace_csv(out_dir / name, trace)
-        ratio = trace.g_norm_sq[-1] / trace.g_norm_sq[0] if trace.g_norm_sq[0] > 0 else 0.0
-        dist = trace.dist_to_ref[-1]
-        rows.append((tau, sigma, eps, ratio, dist))
-
-    import csv as _csv
+        rows.append((tau, sigma, eps, _g_ratio(trace), trace.dist_to_ref[-1]))
 
     with open(out_dir / "summary.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(("tau", "sigma", "epsilon", "final_g_norm_sq_ratio", "final_dist_to_ref"))
         for tau, sigma, eps, ratio, dist in rows:
             writer.writerow([repr(tau), repr(sigma), repr(eps), repr(ratio),
@@ -216,20 +214,12 @@ def cmd_sweep(cfg, out_dir):
 
 
 def cmd_prior_distance(cfg, out_dir):
-    size = cfg["size"]
-    if cfg["kind"] == "recon-tv":
-        base = ProximalPrior(AnisotropicTV(cfg["tv_weight"], cfg["inner_iters"], cfg["inner_tol"]))
-        other = perturb_prior(base, cfg["epsilon"], mode=cfg["mismatch_mode"],
-                              direction_seed=cfg["seed"])
-        shape = (size, size)
+    base, _ = _prior(cfg)
+    if cfg.get("compare_variance", 0.0) > 0:
+        other = GaussianMapPrior(cfg["prior_mean"], cfg["compare_variance"])
     else:
-        base = GaussianMapPrior(cfg["prior_mean"], cfg["prior_variance"])
-        shape = (size, size)
-        if cfg["compare_variance"] > 0:
-            other = GaussianMapPrior(cfg["prior_mean"], cfg["compare_variance"])
-        else:
-            other = perturb_prior(base, cfg["epsilon"], mode=cfg["mismatch_mode"],
-                                  direction_seed=cfg["seed"])
+        other = _perturbed(base, cfg)
+    shape = (cfg["size"], cfg["size"])
     rng = np.random.default_rng(cfg["seed"])
     points = [cfg["point_scale"] * rng.standard_normal(shape) for _ in range(cfg["test_points"])]
     rows = estimate_mismatch_epsilon(base, other, points, cfg["sigma_grid"])

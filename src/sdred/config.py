@@ -95,6 +95,10 @@ _DISTANCE = {
 }
 
 
+# Prior Lipschitz constants of the linear family: the contraction theory needs them in (0, 1).
+_CONTRACTION_KEYS = ("lam", "lam_min", "lam_max")
+
+
 def _swept(schema):
     """A sweep schema: the single tau/sigma/epsilon keys become trailing grids."""
     kept = {k: v for k, v in schema.items() if k not in ("tau", "sigma", "epsilon")}
@@ -220,6 +224,9 @@ def resolve(text, command):
         if default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
         resolved[key] = default
+    for key in _CONTRACTION_KEYS:
+        if key in resolved and not 0.0 < resolved[key] < 1.0:
+            raise ConfigError(f"key {key!r}: expected a value in (0, 1), got {resolved[key]!r}")
     if kind == "prox-prior-theory":
         tau, sigma = resolved["tau"], resolved["sigma"]
         if tau > 0 and sigma > 0 and abs(tau * sigma**2 - 1.0) > 1e-12:

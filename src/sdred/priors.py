@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 
 class ConvexityError(ValueError):
@@ -19,8 +18,6 @@ class ConvexityError(ValueError):
 
 
 class Prior:
-    name = "prior"
-
     def apply(self, x, sigma):
         raise NotImplementedError
 
@@ -37,7 +34,6 @@ class ProximalPrior(Prior):
 
     def __init__(self, reg):
         self.reg = reg
-        self.name = f"prox[{type(reg).__name__}]"
 
     def apply(self, x, sigma):
         return self.reg.prox(np.asarray(x, dtype=float), sigma**2)
@@ -66,7 +62,6 @@ class GaussianMapPrior(Prior):
         self.variances = np.asarray(variances, dtype=float)
         if np.any(self.variances <= 0):
             raise ValueError("prior variances must be positive")
-        self.name = "gaussian-map"
 
     def apply(self, x, sigma):
         return gaussian_map_denoise(self.mean, self.variances, sigma, x)
@@ -94,7 +89,6 @@ class LinearPrior(Prior):
         n = self.matrix.shape[0]
         self.offset = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
         self._lam = float(np.linalg.norm(self.matrix, 2))
-        self.name = "linear"
 
     def apply(self, x, sigma):
         return self.matrix @ x + self.offset
@@ -139,7 +133,6 @@ class MismatchedPrior(Prior):
         self.mode = mode
         self.direction_seed = int(direction_seed)
         self._fixed_offsets = {}
-        self.name = f"mismatched[{base.name}, eps={epsilon}, {mode}]"
 
     def _unit_direction(self, x):
         seed = self.direction_seed if self.mode == "fixed" else _hashed_seed(x)
@@ -278,7 +271,8 @@ class LogConcaveDensity1D:
                 f"log-concavity certificate failed: min second difference {worst:.3e}"
             )
         shift = values.min()
-        z = simpson(np.exp(-(values - shift)), x=self.grid)
+        y = np.exp(-(values - shift))
+        z = float(np.sum(y[0:-1:2] + 4.0 * y[1::2] + y[2::2])) * (self.spacing / 3.0)
         if not np.isfinite(z) or z <= 0:
             raise ValueError("normalization quadrature failed")
         self.log_z = float(np.log(z) - shift)

@@ -99,7 +99,6 @@ class BoundReport:
     """Per-iteration bound values against measured quantities, with verdict."""
 
     descriptor: str
-    constants: dict
     iters: list = field(default_factory=list)
     measured: list = field(default_factory=list)
     bounds: list = field(default_factory=list)
@@ -139,9 +138,7 @@ def empirical_R(trace):
     return max(dists)
 
 
-def _trace_R(trace, R):
-    if R is not None:
-        return R
+def _trace_R(trace):
     if trace.r_max is not None:
         return trace.r_max
     return empirical_R(trace)
@@ -152,14 +149,7 @@ def verify_theorem1_trace(trace, lam, L, tau, gamma, sigma, epsilon, slack=1e-9,
     eta, a_const = theorem1_constants(lam, L, tau, gamma)
     if trace.r0 is None:
         raise ValueError("trace has no reference distances; run with x_ref set")
-    report = BoundReport(
-        descriptor="contraction bound",
-        constants={
-            "eta": eta, "A": a_const, "R0": trace.r0, "lambda": lam, "L": L,
-            "tau": tau, "gamma": gamma, "sigma": sigma, "epsilon": epsilon,
-        },
-        slack=slack,
-    )
+    report = BoundReport(descriptor="contraction bound", slack=slack)
     for k, dist in zip(trace.iters, trace.dist_to_ref):
         if dist is None:
             raise ValueError("trace record missing distance to reference")
@@ -170,7 +160,7 @@ def verify_theorem1_trace(trace, lam, L, tau, gamma, sigma, epsilon, slack=1e-9,
     return report.finish()
 
 
-def verify_theorem2_trace(trace, L, tau, gamma, sigma, epsilon, R=None, slack=1e-9, bound_scale=1.0):
+def verify_theorem2_trace(trace, L, tau, gamma, sigma, epsilon, slack=1e-9, bound_scale=1.0):
     """Check the running average of ||G(x^{i-1})||^2 against B1/t + tau*sigma*epsilon*B2.
 
     Needs a stride-1 trace: the average at t uses the true-prior residuals of
@@ -179,16 +169,9 @@ def verify_theorem2_trace(trace, L, tau, gamma, sigma, epsilon, R=None, slack=1e
     iters = trace.iters
     if any(b - a != 1 for a, b in zip(iters, iters[1:])):
         raise ValueError("theorem-2 verification needs a stride-1 trace")
-    r_const = _trace_R(trace, R)
+    r_const = _trace_R(trace)
     b1, b2 = theorem2_constants(L, tau, gamma, r_const, sigma, epsilon)
-    report = BoundReport(
-        descriptor="nonexpansive residual bound",
-        constants={
-            "B1": b1, "B2": b2, "R": r_const, "L": L, "tau": tau,
-            "gamma": gamma, "sigma": sigma, "epsilon": epsilon,
-        },
-        slack=slack,
-    )
+    report = BoundReport(descriptor="nonexpansive residual bound", slack=slack)
     running = 0.0
     for k, g_sq in zip(iters, trace.g_norm_sq):
         if k == iters[-1]:
@@ -202,21 +185,14 @@ def verify_theorem2_trace(trace, L, tau, gamma, sigma, epsilon, R=None, slack=1e
 
 
 def verify_theorem4_trace(
-    trace, f_star, L, tau, gamma, sigma, epsilon, S, R=None, slack=1e-8, bound_scale=1.0
+    trace, f_star, L, tau, gamma, sigma, epsilon, S, slack=1e-8, bound_scale=1.0
 ):
     """Check the running-min objective gap against the smoothed-objective bound."""
     iters = trace.iters
     if any(b - a != 1 for a, b in zip(iters, iters[1:])):
         raise ValueError("theorem-4 verification needs a stride-1 trace")
-    r_const = _trace_R(trace, R)
-    report = BoundReport(
-        descriptor="smoothed objective bound",
-        constants={
-            "R": r_const, "f_star": f_star, "S": S, "L": L, "tau": tau,
-            "gamma": gamma, "sigma": sigma, "epsilon": epsilon,
-        },
-        slack=slack,
-    )
+    r_const = _trace_R(trace)
+    report = BoundReport(descriptor="smoothed objective bound", slack=slack)
     best_gap = math.inf
     for k, obj in zip(iters, trace.objective):
         if k == iters[-1]:

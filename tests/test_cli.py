@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -177,6 +182,11 @@ class TestVerifyBoundsCommand:
         )
         assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_lambda_above_one_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "kind = linear-theory\ninstances = 3\nlam_max = 1.5\n")
+        assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "lam_max" in capsys.readouterr().err
+
 
 class TestOracleCommand:
     ORACLE = "kind = oracle-1d\ndelta = 0.005\nsigma_grid = 0.5, 1\nz_points = 41\ndensity_points = 1025\n"
@@ -204,3 +214,13 @@ class TestSeedOverride:
         out = tmp_path / "o"
         assert main(["recon", "--config", cfg, "--out", str(out), "--seed", "99"]) == 0
         assert "seed = 99" in (out / "config_resolved.cfg").read_text()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only reference.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, sdred.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

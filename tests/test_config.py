@@ -73,6 +73,23 @@ class TestResolve:
         with pytest.raises(ConfigError, match="fixed"):
             resolve(RECON_TV + "mismatch_mode = diagonal\n", "recon")
 
+    @pytest.mark.parametrize(
+        "text, command, key",
+        [
+            ("kind = linear-theory\nlam_min = 0\n", "verify-bounds", "lam_min"),
+            ("kind = linear-theory\nlam_max = 1.5\n", "verify-bounds", "lam_max"),
+            (
+                "kind = linear-theory\nlam = 1.0\ntau_grid = 1\nsigma_grid = 1\nepsilon_grid = 0\n",
+                "sweep",
+                "lam",
+            ),
+        ],
+        ids=["lam_min", "lam_max", "sweep_lam"],
+    )
+    def test_lambda_outside_unit_interval_names_key(self, text, command, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            resolve(text, command)
+
 
 class TestEcho:
     def test_format_roundtrips_through_parse(self):

@@ -24,8 +24,15 @@ class TestDensity:
     def test_certificate_accepts_small_perturbation(self):
         LogConcaveDensity1D(lambda x: x * x + 0.01 * math.cos(x), (-6.0, 6.0), 1025)
 
-    def test_normalization_folds_into_h(self):
-        d = quadratic()
+    @pytest.mark.parametrize("points", [5, 101, 4097])
+    @pytest.mark.parametrize("domain", [(-6.0, 6.0), (-3.0, 5.0)], ids=["sym", "shifted"])
+    @pytest.mark.parametrize(
+        "neg_log",
+        [lambda x: x * x, abs, lambda x: x * x + 0.01 * math.cos(x)],
+        ids=["x2", "abs", "x2_cos"],
+    )
+    def test_normalization_folds_into_h(self, neg_log, domain, points):
+        d = LogConcaveDensity1D(neg_log, domain, points)
         # integral of exp(-h_norm) over the domain should be 1
         vals = np.exp(-d.grid_h())
         from scipy.integrate import simpson
