@@ -5,7 +5,8 @@ Every command takes ``--config`` (a ``key = value`` file), an output
 directory (``--out`` or the config's ``out`` key), and an optional ``--seed``
 override; the fully resolved configuration is echoed next to the artifacts.
 Exit statuses: 0 success, 1 verification failure, 2 configuration error,
-3 numerical divergence, 4 internal error.
+3 numerical divergence, 4 internal error.  A sweep whose cells fail exits 3
+if any cell diverged and 4 otherwise, since a sweep verifies nothing.
 """
 
 import argparse
@@ -208,7 +209,7 @@ def cmd_sweep(cfg, out_dir):
         print("\n".join(lines), file=sys.stderr)
         if any(isinstance(exc, DivergenceError) for _, exc in failures):
             return EXIT_DIVERGE
-        return EXIT_VERIFY
+        return EXIT_ERROR  # a sweep has no verdict of its own
     print(f"sweep complete: {len(rows)} cells -> {out_dir / 'summary.csv'}")
     return EXIT_OK
 

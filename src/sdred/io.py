@@ -104,23 +104,45 @@ def read_mask(path):
 TRACE_COLUMNS = ("iter", "g_norm_sq", "g_hat_norm_sq", "objective", "dist_to_ref", "psnr")
 
 
-def _fmt(value):
-    return "" if value is None else repr(float(value))
+# Rows formatted and written per block by the CSV writers below.
+_ROWS_PER_WRITE = 64
+
+
+def _str_cells(values):
+    return list(map(str, values))
+
+
+def _repr_cells(values):
+    return list(map(repr, values))
+
+
+def _float_cells(values):
+    """repr of each value as a Python float; a blank for None."""
+    if None in values:
+        return ["" if v is None else repr(float(v)) for v in values]
+    return list(map(repr, map(float, values)))
+
+
+def _write_columns(path, header, columns, formats):
+    """Write equal-length columns with csv.writer's bytes: '\r\n' line ends.
+
+    ``formats[i]`` turns a slice of ``columns[i]`` into its cells.  No cell
+    needs quoting: header names, integers and float reprs hold no comma,
+    quote or line break.  Rows go out in blocks, each formatted one column
+    at a time, so a long trace is never held as one string.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
+            stop = start + _ROWS_PER_WRITE
+            cells = [fmt(column[start:stop]) for column, fmt in zip(columns, formats)]
+            fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
 
 
 def write_trace_csv(path, trace):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for row in zip(
-            trace.iters,
-            trace.g_norm_sq,
-            trace.g_hat_norm_sq,
-            trace.objective,
-            trace.dist_to_ref,
-            trace.psnr,
-        ):
-            writer.writerow([str(row[0])] + [_fmt(v) for v in row[1:]])
+    columns = (trace.iters, trace.g_norm_sq, trace.g_hat_norm_sq, trace.objective,
+               trace.dist_to_ref, trace.psnr)
+    _write_columns(path, TRACE_COLUMNS, columns, (_str_cells,) + (_float_cells,) * 5)
 
 
 def read_trace_csv(path):
@@ -151,8 +173,6 @@ def write_mismatch_csv(path, rows):
 
 
 def write_bound_report_csv(path, report):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("iter", "measured", "bound"))
-        for k, m, b in zip(report.iters, report.measured, report.bounds):
-            writer.writerow([str(k), repr(m), repr(b)])
+    _write_columns(path, ("iter", "measured", "bound"),
+                   (report.iters, report.measured, report.bounds),
+                   (_str_cells, _repr_cells, _repr_cells))

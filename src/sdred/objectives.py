@@ -42,13 +42,11 @@ class DataFidelity:
 
     @staticmethod
     def _value_of(r):
-        return 0.5 * float(np.sum(np.abs(r) ** 2))
+        return 0.5 * float((np.abs(r) ** 2).sum())
 
     def _gradient_of(self, x, r):
         g = self.op.adjoint(r)
-        if np.isrealobj(x):
-            return np.real(g)
-        return g
+        return g if x.dtype.kind == "c" else g.real
 
     def adjoint_image(self):
         """A^H y, the standard zero-filled initialization (real part)."""
@@ -82,7 +80,7 @@ class L1Norm(Regularizer):
         self.weight = float(weight)
 
     def value(self, x):
-        return self.weight * float(np.sum(np.abs(x)))
+        return self.weight * float(np.abs(x).sum())
 
     def prox(self, z, mu):
         if mu < 0:

@@ -8,7 +8,7 @@ when one is attached.  Iterates are kept real (the gradient convention in
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -198,7 +198,12 @@ def run_sd_red(problem, config):
 
     # The mismatch wrapper shares the base denoiser evaluation, so the true
     # residual plus the known offset gives the mismatched residual for free.
+    # A fixed-mode offset does not depend on the iterate: tau*offset is taken
+    # once.
     shared_offset = isinstance(mismatched, MismatchedPrior) and mismatched.base is prior
+    tau_offset = None
+    if shared_offset and mismatched.mode == "fixed":
+        tau_offset = tau * mismatched.offset(x, sigma)
 
     peak = None
     if config.ground_truth is not None:
@@ -216,7 +221,9 @@ def run_sd_red(problem, config):
         g = grad + tau * (xk - prior.apply(xk, sigma))
         g_hat = None
         if use_hat:
-            if shared_offset:
+            if tau_offset is not None:
+                g_hat = g - tau_offset
+            elif shared_offset:
                 g_hat = g - tau * mismatched.offset(xk, sigma)
             else:
                 g_hat = grad + tau * (xk - mismatched.apply(xk, sigma))
@@ -295,13 +302,66 @@ def _cgnr(apply_m, apply_mt, rhs, tol, max_iters):
     return x
 
 
+# Difference columns kept by the Anderson reference solve.
+ANDERSON_MEMORY = 5
+
+
+def _anderson_zero(problem, x0, gamma, tol, max_iters):
+    """A fixed point of T(x) = x - gamma*G(x) by type-II Anderson acceleration.
+
+    Each step mixes the last ANDERSON_MEMORY iterate and residual differences
+    by least squares (Walker & Ni 2011, with mixing 1).  The mixed point is
+    kept only if its residual ||x - T(x)|| is no larger than the current
+    one.  The plain step never enlarges it, since T is averaged for gamma
+    below 1/(L + 2*tau); without the check, l1 problems with n <= 4 can
+    oscillate for 100k steps.  A mixed point that is rejected, non-finite or
+    from a rank-deficient least-squares problem gives way to the plain step
+    and the memory restarts.  Stops, with the plain step from the last
+    iterate, once gamma*||G(x)|| < tol*max(||x||, 1), the relative-change
+    rule of a tolerance-stopped SD-RED run.  Otherwise it returns after
+    ``max_iters`` steps, or at a non-finite residual, and the caller's
+    residual check rejects the point.
+    """
+    shape = x0.shape
+    x = x0.ravel()
+    f = -gamma * residual(problem, x0).ravel()
+    dx, df = [], []  # flat differences of successive iterates and of f
+    for _ in range(max_iters):
+        if _norm(f) < tol * max(_norm(x), 1.0):
+            break
+        x_new, f_new = x + f, None
+        if df:
+            cols = np.stack(df, axis=1)
+            theta, _, rank, _ = np.linalg.lstsq(cols, f, rcond=None)
+            mixed = x_new - (np.stack(dx, axis=1) + cols) @ theta
+            if rank == len(df) and np.isfinite(mixed).all():
+                f_mixed = -gamma * residual(problem, mixed.reshape(shape)).ravel()
+                if _norm(f_mixed) <= _norm(f):
+                    x_new, f_new = mixed, f_mixed
+            if f_new is None:
+                dx, df = [], []
+        if f_new is None:
+            f_new = -gamma * residual(problem, x_new.reshape(shape)).ravel()
+        if not np.isfinite(f_new).all():
+            x, f = x_new, f_new
+            break
+        dx.append(x_new - x)
+        df.append(f_new - f)
+        if len(df) > ANDERSON_MEMORY:
+            del dx[0], df[0]
+        x, f = x_new, f_new
+    return (x + f).reshape(shape)
+
+
 def reference_zero(problem, tol=1e-12, max_iters=100000, gamma=None):
     """A point of Zer(G) for the true prior, to high accuracy.
 
     Affine priors with the quadratic fidelity reduce to the linear system
     (A^H A + tau*(I - W)) x = A^H y + tau*b, solved by conjugate gradient on
-    the normal equations; otherwise a long SD-RED run with the true prior is
-    used.  The returned point is validated against the fixed-point residual
+    the normal equations; otherwise Anderson acceleration finds the fixed
+    point of the true-prior SD-RED step x - gamma*G(x), starting from A^H y,
+    with ``gamma`` the default step unless given.  The returned point is
+    validated against the fixed-point residual
     ||G(x*)|| <= 1e-9 * (1 + ||G(x0)||).
     """
     fid = problem.fidelity
@@ -325,17 +385,11 @@ def reference_zero(problem, tol=1e-12, max_iters=100000, gamma=None):
     else:
         if gamma is None:
             gamma = default_gamma(problem.prior.lipschitz(problem.sigma), fid.lipschitz, problem.tau)
-        cfg = SolverConfig(
-            gamma=gamma,
-            max_iters=max_iters,
-            tol=tol,
-            record_stride=max(1, max_iters // 10),
-        )
-        xstar = run_sd_red(replace(problem, mismatched=None), cfg).final
+        xstar = _anderson_zero(problem, np.asarray(x0, dtype=float), gamma, tol, max_iters)
 
     res = float(np.linalg.norm(residual(problem, xstar)))
     res0 = float(np.linalg.norm(residual(problem, x0)))
-    if res > 1e-9 * (1.0 + res0):
+    if not res <= 1e-9 * (1.0 + res0):  # a NaN residual fails too
         raise ReferenceSolveError(
             f"reference solve stalled: ||G(x*)|| = {res:.3e} vs scale {1.0 + res0:.3e}"
         )

@@ -114,7 +114,7 @@ class TestSweepCommand:
         bad_tau = write_cfg(tmp_path, "kind = recon-gaussian-prior\ntau_grid = -1, 1\n" + grid,
                             "bad.cfg")
         out = tmp_path / "bad"
-        assert main(["sweep", "--config", bad_tau, "--out", str(out)]) == 1
+        assert main(["sweep", "--config", bad_tau, "--out", str(out)]) == 4
         assert (out / "failures.txt").read_text().startswith("cell 0 (tau=-1.0,")
         assert len((out / "summary.csv").read_text().strip().splitlines()) == 2
         # A step far past both theorem ranges overflows the iterate: exit 3

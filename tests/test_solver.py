@@ -293,7 +293,7 @@ class TestReferenceZero:
         mat = rng.standard_normal((n + 4, n)) / np.sqrt(n)
         fid = DataFidelity(MatrixOperator(mat), rng.standard_normal(n + 4))
         if family == "l1":
-            prior = ProximalPrior(L1Norm(0.1))  # the long SD-RED run
+            prior = ProximalPrior(L1Norm(0.1))  # the Anderson solve
         else:
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             prior = LinearPrior(0.5 * q, 0.1 * rng.standard_normal(n))  # the CG solve

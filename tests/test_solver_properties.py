@@ -1,22 +1,30 @@
-"""run_sd_red against a plain reference loop built from ``solver.residual``."""
+"""run_sd_red and reference_zero against plain reference loops built from ``solver.residual``."""
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdred.metrics import psnr
 from sdred.objectives import AnisotropicTV, DataFidelity, L1Norm
-from sdred.operators import MatrixOperator, make_fourier_subsampling, make_radial_mask
+from sdred.operators import (
+    MatrixOperator,
+    gaussian_coil_maps,
+    make_coil_operator,
+    make_fourier_subsampling,
+    make_radial_mask,
+)
 from sdred.priors import LinearPrior, ProximalPrior, perturb_prior
 from sdred.solver import (
     DivergenceError,
     IterateTrace,
     Problem,
+    ReferenceSolveError,
     SolverConfig,
     default_gamma,
+    reference_zero,
     residual,
     run_sd_red,
 )
@@ -186,3 +194,62 @@ def test_divergence_index_matches_reference_loop(family, mismatch):
     got, want = run_both(problem, config)
     assert isinstance(want, DivergenceError)
     assert_same(got, want)
+
+
+def plain_zero(problem, gamma, tol=1e-12, max_iters=200_000):
+    """Zer(G) by the plain SD-RED step x - gamma*G(x) with the true prior.
+
+    Stops once the relative change ||x_new - x|| / max(||x||, 1) drops below
+    ``tol``, as a tolerance-stopped SD-RED run does.
+    """
+    x = problem.fidelity.adjoint_image()
+    for _ in range(max_iters):
+        x_new = x - gamma * residual(problem, x)
+        if np.linalg.norm(x_new - x) / max(np.linalg.norm(x), 1.0) < tol:
+            return x_new
+        x = x_new
+    raise AssertionError("the plain reference loop did not converge")
+
+
+def zero_problem(family, seed):
+    """A random problem with a unique zero of G: l1 with a tall matrix, or 8x8 TV
+    seen through two coils, whose stacked operator has full column rank."""
+    rng = np.random.default_rng(seed)
+    if family == "l1":
+        n = int(rng.integers(2, 17))
+        m = n + int(rng.integers(4, 9))
+        op = MatrixOperator(rng.standard_normal((m, n)) / np.sqrt(m))
+        reg = L1Norm(float(rng.uniform(0.05, 0.3)))
+    else:
+        op = make_coil_operator(make_radial_mask(8, 8, 6), gaussian_coil_maps((8, 8), 2))
+        reg = AnisotropicTV(float(rng.uniform(0.05, 0.3)), inner_iters=int(rng.integers(5, 16)))
+    truth = rng.standard_normal(op.input_shape) * (rng.random(op.input_shape) < 0.5)
+    fid = DataFidelity(op, op.forward(truth) + 0.1 * rng.standard_normal(op.output_shape))
+    sigma = float(rng.uniform(0.7, 1.5))
+    tau = 1.0 / sigma**2 if rng.random() < 0.5 else float(rng.uniform(0.5, 2.0))
+    return Problem(fidelity=fid, prior=ProximalPrior(reg), tau=tau, sigma=sigma)
+
+
+def check_reference_zero(family, seed):
+    problem = zero_problem(family, seed)
+    gamma = default_gamma(1.0, problem.fidelity.lipschitz, problem.tau)
+    want = plain_zero(problem, gamma)
+    got = reference_zero(problem)
+    assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
+    assert np.array_equal(reference_zero(problem), got)
+    with pytest.raises(ReferenceSolveError):
+        reference_zero(problem, max_iters=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=585)  # n = 3: unguarded Anderson steps oscillate here
+@example(seed=1340)  # n = 2
+def test_reference_zero_matches_plain_iteration_l1(seed):
+    check_reference_zero("l1", seed)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reference_zero_matches_plain_iteration_tv(seed):
+    check_reference_zero("tv", seed)
