@@ -42,7 +42,10 @@ class DataFidelity:
 
     @staticmethod
     def _value_of(r):
-        return 0.5 * float((np.abs(r) ** 2).sum())
+        # For real r, r*r is bitwise |r|**2 and add.reduce is what sum() calls.
+        if r.dtype.kind == "c":
+            return 0.5 * float((np.abs(r) ** 2).sum())
+        return 0.5 * float(np.add.reduce(r * r, axis=None))
 
     def _gradient_of(self, x, r):
         g = self.op.adjoint(r)
@@ -80,14 +83,17 @@ class L1Norm(Regularizer):
         self.weight = float(weight)
 
     def value(self, x):
-        return self.weight * float(np.abs(x).sum())
+        return self.weight * float(np.add.reduce(np.abs(x), axis=None))
 
     def prox(self, z, mu):
         if mu < 0:
             raise ValueError("prox parameter must be nonnegative")
         z = np.asarray(z, dtype=float)
         thresh = self.weight * mu
-        return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
+        # z minus its clamp to [-thresh, thresh]: the soft threshold
+        # sign(z)*max(|z| - thresh, 0) in fewer numpy calls (np.clip costs
+        # more on small vectors), equal for every input up to the sign of 0.
+        return z - np.minimum(np.maximum(z, -thresh), thresh)
 
     def subgradient_bound(self, shape):
         return self.weight * math.sqrt(np.prod(shape))

@@ -165,6 +165,11 @@ def default_gamma(lam, L, tau):
     return 0.5 * report.nonexpansive_threshold
 
 
+# Floats per block buffer of run_sd_red: a block holds about this many
+# values of each of the iterates and residuals, and at least one row.
+BLOCK_FLOATS = 8192
+
+
 def run_sd_red(problem, config):
     """Iterate SD-RED and return the diagnostic trace.
 
@@ -173,7 +178,16 @@ def run_sd_red(problem, config):
     objective, squared residual norms and PSNR are computed only there, the
     distance to ``x_ref`` at every iterate (for ``r_max``).  Stops early only
     when ``config.tol`` is positive and the relative change drops below it.
-    Non-finite iterates abort with :class:`DivergenceError`.
+    Non-finite iterates abort with :class:`DivergenceError` at once.
+
+    Iterates and residuals go into the rows of block buffers of about
+    ``BLOCK_FLOATS`` floats; the distances and squared norms of a block are
+    reduced together when it fills, and once more with the final iterate.
+    Each step is written into its buffer row with the arithmetic of
+    ``x - gamma*G(x)``, so iterates do not depend on the block size.
+    Finiteness is tested per step through x.x, which is finite exactly
+    when x is unless the entries of a finite x pass about 1e154; only then
+    (with numpy's overflow warning) is every entry tested.
     """
     use_hat = problem.mismatched is not None
     lam = problem.prior.lipschitz(problem.sigma)
@@ -192,8 +206,15 @@ def run_sd_red(problem, config):
 
     fid, prior, mismatched = problem.fidelity, problem.prior, problem.mismatched
     tau, sigma = problem.tau, problem.sigma
-    x = config.x0 if config.x0 is not None else fid.adjoint_image()
-    x = np.asarray(x, dtype=float).copy()
+    gamma, tol, stride = config.gamma, config.tol, config.record_stride
+    x0 = config.x0 if config.x0 is not None else fid.adjoint_image()
+    x0 = np.asarray(x0, dtype=float)
+    shape = x0.shape
+    rows = max(1, BLOCK_FLOATS // x0.size)
+    xs = np.empty((rows + 1,) + shape)  # the block's iterates; row 0 starts it
+    gs = np.empty((rows + 1,) + shape)  # their true-prior residuals
+    hs = np.empty((rows + 1,) + shape) if use_hat else None  # mismatched ones
+    xs[0] = x0
     trace = IterateTrace()
 
     # The mismatch wrapper shares the base denoiser evaluation, so the true
@@ -203,71 +224,106 @@ def run_sd_red(problem, config):
     shared_offset = isinstance(mismatched, MismatchedPrior) and mismatched.base is prior
     tau_offset = None
     if shared_offset and mismatched.mode == "fixed":
-        tau_offset = tau * mismatched.offset(x, sigma)
+        tau_offset = tau * mismatched.offset(xs[0], sigma)
 
     peak = None
     if config.ground_truth is not None:
         peak = float(np.max(config.ground_truth))
 
-    def residuals(xk, with_objective):
-        # Same arithmetic as residual(); the objective, when asked for, shares
-        # A x - y with grad g(x).
+    def residuals(xk, g, g_hat, with_objective):
+        # Writes G(xk), and G-hat(xk) when a mismatched prior is attached,
+        # with the arithmetic of residual(); the objective, when asked for,
+        # shares A x - y with grad g(x).
         obj = None
         if with_objective and config.objective is not None:
             grad, fid_value = fid.gradient_and_value(xk)
             obj = fid_value + config.objective.value(xk)
         else:
             grad = fid.gradient(xk)
-        g = grad + tau * (xk - prior.apply(xk, sigma))
-        g_hat = None
+        np.subtract(xk, prior.apply(xk, sigma), out=g)
+        g *= tau
+        g += grad
         if use_hat:
             if tau_offset is not None:
-                g_hat = g - tau_offset
+                np.subtract(g, tau_offset, out=g_hat)
             elif shared_offset:
-                g_hat = g - tau * mismatched.offset(xk, sigma)
+                np.multiply(mismatched.offset(xk, sigma), tau, out=g_hat)
+                np.subtract(g, g_hat, out=g_hat)
             else:
-                g_hat = grad + tau * (xk - mismatched.apply(xk, sigma))
-        return g, g_hat, obj
+                np.subtract(xk, mismatched.apply(xk, sigma), out=g_hat)
+                g_hat *= tau
+                g_hat += grad
+        return obj
 
-    def distance(xk):
-        # Taken at every iterate, recorded or not, because r_max needs it.
+    def sq_norms(block):
+        flat = block.reshape(len(block), x0.size)
+        return np.einsum("ij,ij->i", flat, flat)
+
+    objectives = []  # of the block's recorded iterates, in order
+
+    def flush(k0, m, final):
+        # Rows 0..m-1 hold iterates k0..k0+m-1, and row m the final iterate
+        # when ``final``; every row counts towards r_max.
+        rec = list(range(-k0 % stride, m, stride))
+        if final:
+            rec.append(m)
+            m += 1
+        count = len(rec)
+        trace.iters.extend(k0 + r for r in rec)
+        trace.g_norm_sq.extend(sq_norms(gs[rec]).tolist())
+        trace.g_hat_norm_sq.extend(sq_norms(hs[rec]).tolist() if use_hat else [None] * count)
+        trace.objective.extend(objectives)
+        objectives.clear()
         if config.x_ref is None:
-            return None
-        dist = _norm(xk - config.x_ref)
-        trace.r_max = dist if trace.r_max is None else max(trace.r_max, dist)
-        return dist
+            trace.dist_to_ref.extend([None] * count)
+        else:
+            dist = np.sqrt(sq_norms(xs[:m] - config.x_ref))
+            if k0 == 0:
+                trace.r0 = float(dist[0])
+            top = float(dist.max())
+            trace.r_max = top if trace.r_max is None else max(trace.r_max, top)
+            trace.dist_to_ref.extend(dist[rec].tolist())
+        if peak is None:
+            trace.psnr.extend([None] * count)
+        else:
+            trace.psnr.extend(psnr(config.ground_truth, xs[r], peak=peak) for r in rec)
 
-    def record(k, xk, g, g_hat, obj, dist):
-        g_hat_sq = None if g_hat is None else _sq_norm(g_hat)
-        quality = None
-        if peak is not None:
-            quality = psnr(config.ground_truth, xk, peak=peak)
-        trace.record(k, _sq_norm(g), g_hat_sq, obj, dist, quality)
+    def roll(k0):
+        # Reduce the full block and start the next one at its last iterate.
+        flush(k0, rows, False)
+        xs[0] = xs[rows]
 
+    flat = xs.reshape(rows + 1, x0.size)
+    k0 = i = 0  # the iterate at the block's row 0, and the current row
     stopped_at = config.max_iters
     for k in range(config.max_iters):
-        recorded = k % config.record_stride == 0
-        g, g_hat, obj = residuals(x, recorded)
-        dist = distance(x)
-        if k == 0:
-            trace.r0 = dist
+        if i == rows:
+            roll(k0)
+            k0, i = k, 0
+        x, x_new, g = xs[i], xs[i + 1], gs[i]
+        g_hat = hs[i] if use_hat else None
+        recorded = k % stride == 0
+        obj = residuals(x, g, g_hat, recorded)
         if recorded:
-            record(k, x, g, g_hat, obj, dist)
-        step_residual = g_hat if use_hat else g
-        x_new = x - config.gamma * step_residual
-        if not np.isfinite(x_new).all():
+            objectives.append(obj)
+        np.multiply(g_hat if use_hat else g, gamma, out=x_new)
+        np.subtract(x, x_new, out=x_new)
+        i += 1
+        v = flat[i]
+        if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
             raise DivergenceError(k + 1)
-        if config.tol > 0.0:
+        if tol > 0.0:
             change = _norm(x_new - x) / max(_norm(x), 1.0)
-            if change < config.tol:
-                x = x_new
+            if change < tol:
                 stopped_at = k + 1
                 break
-        x = x_new
 
-    g, g_hat, obj = residuals(x, True)
-    record(stopped_at, x, g, g_hat, obj, distance(x))
-    trace.final = x
+    if i == rows:
+        roll(k0)
+        k0, i = stopped_at, 0
+    objectives.append(residuals(xs[i], gs[i], hs[i] if use_hat else None, True))
+    flush(k0, i, True)
+    trace.final = xs[i].copy()
     trace.stopped_at = stopped_at
     return trace
 
@@ -363,6 +419,12 @@ def reference_zero(problem, tol=1e-12, max_iters=100000, gamma=None):
     with ``gamma`` the default step unless given.  The returned point is
     validated against the fixed-point residual
     ||G(x*)|| <= 1e-9 * (1 + ||G(x0)||).
+
+    Zer(G) need not be a single point: TV under Fourier undersampling leaves
+    directions that neither the data nor the prior pin down.  The result is
+    then the point the Anderson solve reaches from A^H y, and any distance
+    measured to it (R, ``r_max``, a recon sweep's ``final_dist_to_ref``) is
+    relative to that point, not to the whole zero set.
     """
     fid = problem.fidelity
     x0 = fid.adjoint_image()

@@ -19,11 +19,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .solver import check_step_size
+
 _quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 class StepSizeError(ValueError):
     """Step size outside the range the requested constants require."""
+
+
+def _require_step(inside, upper, gamma):
+    if not inside:
+        raise StepSizeError(f"gamma must lie in (0, {upper:.6e}), got {gamma}")
+
+
+def _check_nonexpansive_step(L, tau, gamma):
+    # The nonexpansive range does not depend on lambda; 1 is a valid one.
+    step = check_step_size(1.0, L, tau, gamma)
+    _require_step(step.in_nonexpansive_range, step.nonexpansive_threshold, gamma)
 
 
 def theorem1_constants(lam, L, tau, gamma):
@@ -34,9 +47,8 @@ def theorem1_constants(lam, L, tau, gamma):
     """
     if not (0 < lam < 1):
         raise StepSizeError("contraction constants need lambda in (0, 1)")
-    upper = (1.0 - lam) * tau / (L + (1.0 + lam) * tau) ** 2
-    if not (0.0 < gamma < upper):
-        raise StepSizeError(f"gamma must lie in (0, {upper:.6e}), got {gamma}")
+    step = check_step_size(lam, L, tau, gamma)
+    _require_step(step.in_contraction_range, step.contraction_threshold, gamma)
     eta_sq = 1.0 - 2.0 * gamma * tau * (1.0 - lam) + gamma**2 * (L + (1.0 + lam) * tau) ** 2
     eta = math.sqrt(eta_sq)
     return eta, gamma / (1.0 - eta)
@@ -63,9 +75,7 @@ def _theorem1_value(eta_t, r0, a_const, tau, sigma, epsilon):
 
 def theorem2_constants(L, tau, gamma, R, sigma, epsilon):
     """B1 = (L+2*tau)*R^2/gamma and B2 = (L+2*tau)*(2*R + gamma*tau*sigma*epsilon)."""
-    upper = 1.0 / (L + 2.0 * tau)
-    if not (0.0 < gamma < upper):
-        raise StepSizeError(f"gamma must lie in (0, {upper:.6e}), got {gamma}")
+    _check_nonexpansive_step(L, tau, gamma)
     if R < 0:
         raise ValueError("R must be nonnegative")
     b1 = (L + 2.0 * tau) * R**2 / gamma
@@ -103,9 +113,7 @@ def theorem4_bound(t, L, tau, gamma, R, epsilon, sigma, S):
 def _check_theorem4_step(L, tau, gamma, sigma):
     if abs(tau * sigma**2 - 1.0) > 1e-12:
         raise ValueError(f"requires tau = 1/sigma^2; got tau*sigma^2 = {tau * sigma**2}")
-    upper = 1.0 / (L + 2.0 * tau)
-    if not (0.0 < gamma < upper):
-        raise StepSizeError(f"gamma must lie in (0, {upper:.6e}), got {gamma}")
+    _check_nonexpansive_step(L, tau, gamma)
 
 
 def _theorem4_value(t, L, tau, gamma, R, epsilon, sigma, S):

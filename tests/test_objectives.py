@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdred.objectives import (
     AnisotropicTV,
@@ -259,3 +263,48 @@ class TestMoreau:
     def test_rejects_nonpositive_sigma2(self):
         with pytest.raises(ValueError):
             moreau_envelope(L1Norm(1.0), 0.0, np.zeros(2))
+
+
+# The leaf formulas the l1 prox and the sums of squares and magnitudes
+# replaced, kept verbatim as references.
+
+
+def sign_form_prox(z, thresh):
+    return np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0)
+
+
+def abs_sq_sum(r):
+    return 0.5 * float((np.abs(r) ** 2).sum())
+
+
+def abs_sum(x):
+    return float(np.abs(x).sum())
+
+
+_SPECIAL = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308)
+
+
+@st.composite
+def leaf_arrays(draw):
+    """Arrays of several shapes over many decades, some entries special floats."""
+    shape = draw(st.sampled_from([(0,), (1,), (7,), (33,), (4, 5), (2, 3, 4)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = 10.0 ** rng.uniform(-300, 300) * rng.standard_normal(shape)
+    specials = rng.random(shape) < rng.choice([0.0, 0.1, 0.5, 1.0])
+    values[specials] = rng.choice(_SPECIAL, size=int(specials.sum()))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=leaf_arrays(), weight=st.sampled_from([1e-3, 0.3, 1.0, 7.5]),
+       mu=st.sampled_from([0.0, 5e-324, 0.01, 1.0, 1e3]))
+def test_leaf_calls_match_the_old_formulas(z, weight, mu):
+    reg = L1Norm(weight)
+    with np.errstate(all="ignore"):
+        got, want = reg.prox(z, mu), sign_form_prox(z, weight * mu)
+        # Equal values, NaN where NaN; only the sign of an exact zero may differ.
+        np.testing.assert_array_equal(got, want)
+        assert repr(reg.value(z)) == repr(weight * abs_sum(z))
+        assert repr(DataFidelity._value_of(z)) == repr(abs_sq_sum(z))
+        r = z + 1j * np.flip(z)
+        assert repr(DataFidelity._value_of(r)) == repr(abs_sq_sum(r))

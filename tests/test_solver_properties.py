@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sdred import solver
 from sdred.metrics import psnr
 from sdred.objectives import AnisotropicTV, DataFidelity, L1Norm
 from sdred.operators import (
@@ -131,17 +132,19 @@ def close(a, b):
     return abs(a - b) <= TOL * max(1.0, abs(b))
 
 
+def outcome(run, problem, config):
+    """The trace of one run, or the DivergenceError it raised."""
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            return run(problem, config)
+        except DivergenceError as exc:
+            return exc
+
+
 def run_both(problem, config):
     """(trace or DivergenceError) from run_sd_red and from the reference loop."""
-    outcomes = []
-    for run in (run_sd_red, reference_run):
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("ignore")
-            try:
-                outcomes.append(run(problem, config))
-            except DivergenceError as exc:
-                outcomes.append(exc)
-    return outcomes
+    return [outcome(run, problem, config) for run in (run_sd_red, reference_run)]
 
 
 def assert_same(got, want):
@@ -168,7 +171,12 @@ def make_config(problem, objective, truth, iters, stride, tol, gamma_scale=1.0):
                         objective=objective, record_stride=stride)
 
 
-@settings(max_examples=60, deadline=None)
+# Floats per run_sd_red block: at n = 2..8 and 8x8 these give blocks of 1 to
+# 25 rows, which split the runs below, and the default gives one block.
+BLOCK_SIZES = [1, 8, 17, 50, solver.BLOCK_FLOATS]
+
+
+@settings(max_examples=60 * len(BLOCK_SIZES), deadline=None)
 @given(
     family=st.sampled_from(["linear", "l1", "tv"]),
     mismatch=st.sampled_from([None, "fixed", "hashed", "separate"]),
@@ -177,23 +185,95 @@ def make_config(problem, objective, truth, iters, stride, tol, gamma_scale=1.0):
     iters=st.integers(1, 40),
     stride=st.integers(1, 7),
     tol=st.sampled_from([0.0, 1e-2, 1e-4]),
+    block_floats=st.sampled_from(BLOCK_SIZES),
 )
 def test_run_sd_red_matches_reference_loop(family, mismatch, seed, with_objective, iters,
-                                           stride, tol):
+                                           stride, tol, block_floats):
     problem, objective, truth = build(family, mismatch, seed, with_objective)
     config = make_config(problem, objective, truth, iters, stride, tol)
-    assert_same(*run_both(problem, config))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "BLOCK_FLOATS", block_floats)
+        assert_same(*run_both(problem, config))
+
+
+def count_prior_calls(problem, monkeypatch):
+    """A one-item list that counts the true prior's evaluations from now on."""
+    calls = [0]
+    apply = problem.prior.apply
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(problem.prior, "apply", counted)
+    return calls
 
 
 @pytest.mark.parametrize("family", ["linear", "l1", "tv"])
 @pytest.mark.parametrize("mismatch", ["fixed", "hashed"])
-def test_divergence_index_matches_reference_loop(family, mismatch):
+def test_divergence_index_matches_reference_loop(family, mismatch, monkeypatch):
     problem, objective, truth = build(family, mismatch, seed=11, with_objective=True)
     config = make_config(problem, objective, truth, iters=2000, stride=3, tol=0.0,
                          gamma_scale=1e4)
-    got, want = run_both(problem, config)
+    want = outcome(reference_run, problem, config)
     assert isinstance(want, DivergenceError)
-    assert_same(got, want)
+    calls = count_prior_calls(problem, monkeypatch)
+    for block_floats in BLOCK_SIZES:
+        monkeypatch.setattr(solver, "BLOCK_FLOATS", block_floats)
+        calls[0] = 0
+        got = outcome(run_sd_red, problem, config)
+        assert_same(got, want)
+        # One evaluation per step: no step runs past the first non-finite iterate.
+        assert calls[0] == got.iteration, block_floats
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["after", "on", "before"])
+@pytest.mark.parametrize("ending", ["tolerance", "divergence"])
+@pytest.mark.parametrize("family", ["linear", "l1", "tv"])
+def test_run_ends_beside_a_block_edge(family, ending, offset, monkeypatch):
+    """Blocks of d - 1, d and d + 1 rows put iterate d, where the run stops or
+    diverges, just after, on and just before a block edge.  A stopping run
+    measures distances to its start, so the last iterate sets r_max."""
+    problem, objective, truth = build(family, "fixed", seed=11, with_objective=True)
+    if ending == "tolerance":
+        config = make_config(problem, objective, truth, iters=2000, stride=3, tol=1e-3)
+        config.x_ref = problem.fidelity.adjoint_image()
+    else:
+        config = make_config(problem, objective, truth, iters=2000, stride=3, tol=0.0,
+                             gamma_scale=1e4)
+    want = outcome(reference_run, problem, config)
+    if ending == "tolerance":
+        d = want.stopped_at
+        assert d < config.max_iters and want.r_max == want.dist_to_ref[-1] > want.r0
+    else:
+        d = want.iteration
+    monkeypatch.setattr(solver, "BLOCK_FLOATS", (d + offset) * truth.size)
+    calls = count_prior_calls(problem, monkeypatch)
+    assert_same(outcome(run_sd_red, problem, config), want)
+    # One evaluation per step, and one more for the final record of a stop.
+    assert calls[0] == d + (ending == "tolerance")
+
+
+def test_large_images_get_one_row_blocks(monkeypatch):
+    """A 128x128 run keeps one iterate row per block plus the next iterate."""
+    rng = np.random.default_rng(3)
+    op = make_fourier_subsampling(make_radial_mask(128, 128, 8))
+    truth = rng.standard_normal(op.input_shape)
+    fid = DataFidelity(op, op.forward(truth))
+    problem = Problem(fidelity=fid, prior=ProximalPrior(AnisotropicTV(0.1, inner_iters=2)),
+                      tau=1.0, sigma=1.0)
+    problem.mismatched = perturb_prior(problem.prior, 0.1)
+    shapes = []
+    empty = np.empty
+
+    def spy(shape, *args, **kwargs):
+        shapes.append(tuple(np.atleast_1d(shape)))
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", spy)
+    trace = run_sd_red(problem, make_config(problem, None, truth, 3, 1, 0.0))
+    assert trace.iters == [0, 1, 2, 3]
+    assert [s for s in shapes if s[1:] == (128, 128)] == [(2, 128, 128)] * 3
 
 
 def plain_zero(problem, gamma, tol=1e-12, max_iters=200_000):

@@ -1,0 +1,132 @@
+"""Run the benchmark on two source trees in alternating pairs and compare.
+
+    python tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N \
+        --seconds T --seed0 S
+
+Pair i runs ``python3 DIR/perfbench/run.py --workload W --seed S+i
+--seconds T`` in each tree, one after the other; the parent runs first in
+even pairs and the change in odd ones, so drift on a shared host falls on
+both sides.  The last JSON line a run prints is its result.
+
+The report gives one line per pair with each end-to-end metric as
+parent/change, then per metric each side's median and quartiles and the
+pairs the change won, a win being strictly better in the ``better``
+direction that ``BENCHMARK.json`` (read from CHANGE_DIR) gives the metric.
+A metric is read as ``metrics[name]["value"]``.
+The last lines total ``attempted`` and ``failed`` per side.
+
+Exit status: 0 when every run gave a result, 1 when a run failed (the
+report then covers the pairs before it), 2 on a usage error.  Only the
+standard library is used.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed0", type=int, required=True)
+    args = parser.parse_args(argv)
+    for tree in (args.parent, args.change):
+        if not (tree / "perfbench" / "run.py").is_file():
+            parser.error(f"no perfbench/run.py under {tree}")
+    if not (args.change / "BENCHMARK.json").is_file():
+        parser.error(f"no BENCHMARK.json under {args.change}")
+    if args.pairs < 1 or args.seconds <= 0 or args.seed0 < 0:
+        parser.error("--pairs must be positive, --seconds positive, --seed0 nonnegative")
+    return args
+
+
+def run_once(tree, workload, seed, seconds):
+    """The result object of one benchmark run in ``tree``, or None if it failed."""
+    command = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds)]
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    lines = [line for line in done.stdout.splitlines() if line.strip()]
+    if done.returncode != 0 or not lines:
+        print(f"run failed in {tree} (seed {seed}, exit {done.returncode}):\n{done.stderr}",
+              file=sys.stderr)
+        return None
+    return json.loads(lines[-1])
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile): ``statistics.quantiles``, exclusive method."""
+    if len(values) == 1:
+        return values * 3
+    return statistics.quantiles(values, n=4)
+
+
+def metric(result, name):
+    """The value of an end-to-end metric in a run result, or None if absent."""
+    entry = result["metrics"].get(name)
+    return None if entry is None else entry["value"]
+
+
+def won(change, parent, better):
+    return change > parent if better == "higher" else change < parent
+
+
+def report(pairs, metrics, out):
+    """Write the comparison of ``pairs``, a list of (seed, first side, {side: result})."""
+    for seed, first, results in pairs:
+        cells = []
+        for name in metrics:
+            values = [metric(results[side], name) for side in SIDES]
+            cells.append(f"{name} {values[0]!r}/{values[1]!r}")
+        print(f"seed {seed} ({first} first): " + "; ".join(cells), file=out)
+    for name, better in metrics.items():
+        both = [(metric(results["parent"], name), metric(results["change"], name))
+                for _, _, results in pairs]
+        both = [(p, c) for p, c in both if p is not None and c is not None]
+        if not both:
+            print(f"{name}: not reported", file=out)
+            continue
+        sides = []
+        for side, values in zip(SIDES, zip(*both)):
+            q1, median, q3 = quartiles(list(values))
+            sides.append(f"{side} median {median:.6g} [q1 {q1:.6g}, q3 {q3:.6g}]")
+        wins = sum(won(c, p, better) for p, c in both)
+        print(f"{name} ({better} is better): " + ", ".join(sides)
+              + f"; change won {wins} of {len(both)}", file=out)
+    for side in SIDES:
+        attempted = sum(results[side]["attempted"] for _, _, results in pairs)
+        failed = sum(results[side]["failed"] for _, _, results in pairs)
+        print(f"{side}: attempted {attempted}, failed {failed}", file=out)
+
+
+def main(argv=None, out=sys.stdout):
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    pairs = []
+    status = 0
+    for i in range(args.pairs):
+        seed = args.seed0 + i
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        results = {side: run_once(trees[side], args.workload, seed, args.seconds)
+                   for side in order}
+        if None in results.values():
+            status = 1
+            break
+        pairs.append((seed, order[0], results))
+    if pairs:
+        report(pairs, metrics, out)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
