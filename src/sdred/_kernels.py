@@ -2,8 +2,8 @@
 
 The dual projected-gradient loop behind the TV proximal operator is the
 inner loop that dominates reconstruction runs.  It is one numpy kernel that
-allocates its buffers once per call and nothing per iteration; there is no
-jit path and no environment switch.
+allocates its buffers once per call and nothing per iteration except at a
+full residual pass; there is no jit path and no environment switch.
 """
 
 import numpy as np
@@ -36,19 +36,48 @@ def grad2d_adjoint(p):
 def _adjoint_flat(p, W, out):
     """``out = D^T p`` for a dual ``p`` of shape (2, H*W) on the flattened image.
 
-    Per pixel the sum runs ``-p0 + p0[k-1] - p1 + p1[k-W]``, the order in
-    which :func:`grad2d_adjoint` accumulates, so both give equal values (an
-    exact zero may differ in sign).  The
-    entries of ``p`` on the row ends (horizontal) and the last row (vertical)
-    must be zero; adding those zeros leaves every sum unchanged.
+    Per pixel the sum runs ``(p0[k-1] - p0) - p1 + p1[k-W]``.
+    :func:`grad2d_adjoint` accumulates ``((0 - p0) + p0[k-1]) - p1 + p1[k-W]``
+    in the same order, so both give equal values (an exact zero may differ in
+    sign).  The entries of ``p`` on the row ends (horizontal) and the last
+    row (vertical) must be zero; adding those zeros leaves every sum
+    unchanged.
     """
     p0, p1 = p
     n = out.size
-    np.negative(p0, out=out)
-    out[1:] += p0[:-1]
+    np.subtract(p0[:-1], p0[1:], out=out[1:])
+    out[0] = -p0[0]
     out -= p1
     out[W:] += p1[: n - W]
     return out
+
+
+# Dual entries kept as witnesses that the TV-prox stop test fails.
+WITNESSES = 8
+
+
+def _max_change(q, p, d):
+    """The max-norm change ``max |q - p|`` of the dual, through ``d = q - p``.
+
+    NaN when an entry of ``d`` is NaN.  ``d`` keeps the differences.
+    """
+    np.subtract(q, p, out=d)
+    return max(d.max(), -d.min())
+
+
+def _witnesses(d, tol):
+    """Up to WITNESSES flat indices where ``|d| >= tol``, spread over the image.
+
+    Each is the first such entry at or after one of WITNESSES evenly spaced
+    starts.  ``d`` is overwritten with ``|d|``.
+    """
+    moving = np.abs(d, out=d).ravel() >= tol
+    found = []
+    for start in range(0, moving.size, -(-moving.size // WITNESSES)):  # ceiling division
+        j = start + int(moving[start:].argmax())
+        if moving[j] and j not in found:
+            found.append(j)
+    return found
 
 
 def tv_prox_dual(z, mu, step, max_iters, tol):
@@ -58,11 +87,24 @@ def tv_prox_dual(z, mu, step, max_iters, tol):
     is the max-norm change of the dual variable per sweep.  The loop runs on
     the flattened image, so the stencils are shifts by 1 and by W, and it
     reuses four buffers allocated once per call.
+
+    The loop stops once ``max |q - p| < tol``.  One entry with
+    ``|q_j - p_j| >= tol`` proves that test false, so a full residual pass
+    (:func:`_max_change`) keeps up to WITNESSES such entries, and the
+    iterations after it read only those: the first witness that still holds
+    ends the test.  A full pass runs on the first and the last allowed
+    iteration, and whenever every witness fails (a NaN change fails too);
+    the stop test, the iteration count and the returned residual are
+    therefore those of a full pass at every iteration.  Each iteration that
+    reads only witnesses skips a subtract and two reductions over the dual;
+    a witness rarely fails, both in calls that run to ``max_iters`` and in
+    calls that converge, so the full pass runs a few times per call.
     """
     z = np.ascontiguousarray(z, dtype=np.float64)
     if mu == 0.0:
         return z.copy(), 0, 0.0
     mu, step, tol = float(mu), float(step), float(tol)
+    max_iters = int(max_iters)
     H, W = z.shape
     n = H * W
     zf = z.ravel()
@@ -77,7 +119,8 @@ def tv_prox_dual(z, mu, step, max_iters, tol):
     row_ends = np.arange(W - 1, n - 1, W)
     iters_run = 0
     resid = np.inf
-    for iters_run in range(1, int(max_iters) + 1):
+    witnesses = []
+    for iters_run in range(1, max_iters + 1):
         # w = z - D^T p
         np.subtract(zf, _adjoint_flat(p, W, w), out=w)
         # q = clip(p + step * D w, -mu, mu)
@@ -87,10 +130,14 @@ def tv_prox_dual(z, mu, step, max_iters, tol):
         q *= step
         q += p
         np.clip(q, -mu, mu, out=q)
-        np.subtract(q, p, out=d)
-        resid = max(d.max(), -d.min())
+        qf, pf = q.ravel(), p.ravel()
+        if iters_run == max_iters or not any(
+                abs(qf.item(j) - pf.item(j)) >= tol for j in witnesses):
+            resid = _max_change(q, p, d)
+            if resid < tol:
+                p = q
+                break
+            witnesses = _witnesses(d, tol)
         p, q = q, p
-        if resid < tol:
-            break
     np.subtract(zf, _adjoint_flat(p, W, w), out=w)
     return w.reshape(H, W), iters_run, resid

@@ -88,16 +88,6 @@ class IterateTrace:
     final: np.ndarray = None
     stopped_at: int = None
 
-    def record(self, k, g_sq, g_hat_sq, obj, dist, quality):
-        if self.iters and k <= self.iters[-1]:
-            return
-        self.iters.append(k)
-        self.g_norm_sq.append(g_sq)
-        self.g_hat_norm_sq.append(g_hat_sq)
-        self.objective.append(obj)
-        self.dist_to_ref.append(dist)
-        self.psnr.append(quality)
-
 
 def _sq_norm(v):
     """||v||^2 of a real array as one dot product."""

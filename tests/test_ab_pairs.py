@@ -15,6 +15,8 @@ import ab_pairs  # noqa: E402
 
 # The stub appends "<tree> <seed>" to calls.log next to the trees and reports
 # a rate that the change beats except at seed 12, and a constant peak RSS.
+# The change doubles an iteration rate that varies little from run to run,
+# and its set-up takes twice as long.
 STUB = """
 import json, sys
 from pathlib import Path
@@ -31,17 +33,23 @@ if tree.name == "change" and seed == 99:
 print("progress line")
 print(json.dumps({"correct": True, "attempted": 5, "failed": int(tree.name == "parent"),
                   "metrics": {"instances_per_s": {"value": rate, "unit": "1/s"},
-                              "peak_rss_mb": {"value": 40.0, "unit": "MB"}}}))
+                              "peak_rss_mb": {"value": 40.0, "unit": "MB"},
+                              "recon_iters_per_s": {"value": (100.0 + seed % 2)
+                                                    * (1 + (tree.name == "change")),
+                                                    "unit": "1/s"},
+                              "setup_s": {"value": 1.0 + (tree.name == "change"),
+                                          "unit": "s"}}}))
 """
 
 
-def make_trees(tmp_path):
+def make_trees(tmp_path, spec=None):
     for name in ("parent", "change"):
         (tmp_path / name / "perfbench").mkdir(parents=True)
         (tmp_path / name / "perfbench" / "run.py").write_text(STUB)
-    spec = {"end_to_end": [{"name": "instances_per_s", "better": "higher"},
-                           {"name": "peak_rss_mb", "better": "lower"},
-                           {"name": "cells_per_s", "better": "higher"}]}
+    if spec is None:
+        spec = {"end_to_end": [{"name": "instances_per_s", "better": "higher"},
+                               {"name": "peak_rss_mb", "better": "lower"},
+                               {"name": "cells_per_s", "better": "higher"}]}
     (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
     return [str(tmp_path / "parent"), str(tmp_path / "change")]
 
@@ -64,6 +72,7 @@ def test_alternating_pairs_and_report(tmp_path):
     assert lines[5].endswith("; change won 0 of 4")
     assert lines[6] == "cells_per_s: not reported"
     assert lines[7:] == ["parent: attempted 20, failed 4", "change: attempted 20, failed 0"]
+    assert "verdict" not in out.getvalue()  # no metric has a bound
 
 
 def test_failed_run_exits_1_and_usage_errors_exit_2(tmp_path, capsys):
@@ -80,3 +89,70 @@ def test_failed_run_exits_1_and_usage_errors_exit_2(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             ab_pairs.main(argv, out=out)
         assert exc.value.code == 2
+
+
+def test_verdict_per_metric_with_a_bound(tmp_path):
+    spec = {"end_to_end": [{"name": name, "better": better, "bound": 0.25}
+                           for name, better in [("instances_per_s", "higher"),
+                                                ("peak_rss_mb", "lower"),
+                                                ("recon_iters_per_s", "higher"),
+                                                ("setup_s", "lower"),
+                                                ("cells_per_s", "higher")]]}
+    trees = make_trees(tmp_path, spec)
+    out = io.StringIO()
+    argv = trees + ["--workload", "w", "--pairs", "10", "--seconds", "1", "--seed0", "10"]
+    assert ab_pairs.main(argv, out=out) == 0
+    lines = out.getvalue().splitlines()[10:15]
+    # The rate wins 9 of 10, but its medians (14.5, 15.5) lie closer than
+    # the parent's quartiles (12.75, 17.25), which spread wider than 25%.
+    assert lines[0].endswith("; change won 9 of 10; verdict: unresolved")
+    assert lines[1].endswith("; change won 0 of 10; verdict: no worse")
+    assert lines[2].endswith("; change won 10 of 10; verdict: gain")
+    assert lines[3].endswith("; change won 0 of 10; verdict: worse")
+    assert lines[4] == "cells_per_s: not reported"
+
+
+@pytest.mark.parametrize("parent, change, better, bound, expected", [
+    # 10 of 10 and 9 of 10 wins by more than the parent's IQR (100.75..107.25)
+    (list(range(100, 110)), list(range(110, 120)), "higher", 0.25, "gain"),
+    (list(range(100, 110)), list(range(110, 119)) + [99], "higher", 0.25, "gain"),
+    # 8 of 10 wins: not a gain, and within the bound
+    (list(range(100, 110)), list(range(110, 118)) + [99, 99], "higher", 0.25, "no worse"),
+    # every pair won, but the medians lie 1 apart, inside the parent's IQR
+    (list(range(100, 110)), list(range(101, 111)), "higher", 0.25, "no worse"),
+    # ... and with a 1% bound the parent's spread is wider than the bound
+    (list(range(100, 110)), list(range(101, 111)), "higher", 0.01, "unresolved"),
+    # every change run beats every parent run: resolved despite the spread,
+    # though the medians lie closer than the parent's IQR (1.25..3.75)
+    ([1.0, 2.0, 3.0, 4.0], [4.5, 4.6, 4.7, 4.8], "higher", 0.01, "no worse"),
+    ([4.0, 5.0, 6.0, 7.0], [3.5, 3.6, 3.7, 3.8], "lower", 0.01, "no worse"),
+    ([1.0, 2.0, 3.0, 4.0], [4.5, 4.6, 2.5, 2.5], "higher", 0.01, "unresolved"),
+    # lower is better: 30% worse exceeds a 25% bound, 20% does not
+    ([1.0] * 10, [1.3] * 10, "lower", 0.25, "worse"),
+    ([1.0] * 10, [1.2] * 10, "lower", 0.25, "no worse"),
+    ([10.0] * 10, [7.0] * 10, "higher", 0.25, "worse"),
+    # ties count for neither side
+    ([5.0] * 10, [5.0] * 10, "higher", 0.25, "no worse"),
+])
+def test_verdict_rules(parent, change, better, bound, expected):
+    assert ab_pairs.verdict(parent, change, better, bound) == expected
+
+
+def test_no_gain_when_the_change_fails_a_larger_share():
+    parent, change = list(range(100, 110)), list(range(110, 120))
+    assert ab_pairs.verdict(parent, change, "higher", 0.25) == "gain"
+    assert ab_pairs.verdict(parent, change, "higher", 0.25, more_failed=True) == "no worse"
+    assert ab_pairs.verdict(parent, [70] * 10, "higher", 0.25, more_failed=True) == "worse"
+
+    def pairs(extra):
+        return [(seed, "parent",
+                 {"parent": {"attempted": 10, "failed": 1, "metrics": {"rate": {"value": p}}},
+                  "change": {"attempted": 20, "failed": 2 + extra * (seed == 0),
+                             "metrics": {"rate": {"value": c}}}})
+                for seed, (p, c) in enumerate(zip(parent, change))]
+
+    # the parent fails 10 of 100 operations; the change 20 of 200, then 21
+    for extra, expected in [(0, "gain"), (1, "no worse")]:
+        out = io.StringIO()
+        ab_pairs.report(pairs(extra), {"rate": ("higher", 0.25)}, out)
+        assert f"; change won 10 of 10; verdict: {expected}" in out.getvalue()

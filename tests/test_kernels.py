@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdred import _kernels as kernels
+from sdred.metrics import make_phantom
 
 
 def reference_tv_prox_dual(z, mu, step, max_iters, tol):
@@ -61,19 +62,34 @@ class TestDualPaths:
         max_iters=st.integers(1, 200),
         tol=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]),
         seed=st.integers(0, 2**32 - 1),
+        nan_at=st.just(None),  # NaN inputs come from the examples only
     )
-    @example(h=1, w=9, mu=0.5, max_iters=200, tol=1e-6, seed=1)
-    @example(h=9, w=1, mu=0.5, max_iters=200, tol=1e-6, seed=2)
-    @example(h=1, w=1, mu=0.5, max_iters=3, tol=0.0, seed=3)
-    def test_matches_reference_loop(self, h, w, mu, max_iters, tol, seed):
+    @example(h=1, w=9, mu=0.5, max_iters=200, tol=1e-6, seed=1, nan_at=None)
+    @example(h=9, w=1, mu=0.5, max_iters=200, tol=1e-6, seed=2, nan_at=None)
+    @example(h=1, w=1, mu=0.5, max_iters=3, tol=0.0, seed=3, nan_at=None)
+    # stops at iteration 15 after iterations that only read witnesses
+    @example(h=8, w=8, mu=0.3, max_iters=200, tol=1e-2, seed=5, nan_at=None)
+    @example(h=6, w=5, mu=0.5, max_iters=50, tol=0.0, seed=6, nan_at=None)
+    @example(h=5, w=7, mu=0.5, max_iters=1, tol=1e-6, seed=8, nan_at=None)
+    @example(h=5, w=7, mu=0.5, max_iters=2, tol=1e-6, seed=8, nan_at=None)
+    # every dual entry clips to +-mu on the first iteration, so every witness
+    # fails on the second, and that full pass stops the loop
+    @example(h=5, w=7, mu=1e-6, max_iters=50, tol=1e-12, seed=7, nan_at=None)
+    # a NaN in z: NaN dual changes fail every witness
+    @example(h=6, w=6, mu=0.5, max_iters=40, tol=1e-6, seed=9, nan_at=14)
+    @example(h=12, w=12, mu=0.5, max_iters=200, tol=1e-9, seed=10, nan_at=0)
+    @example(h=1, w=5, mu=0.5, max_iters=200, tol=0.0, seed=11, nan_at=4)
+    def test_matches_reference_loop(self, h, w, mu, max_iters, tol, seed, nan_at):
         z = np.random.default_rng(seed).standard_normal((h, w))
+        if nan_at is not None:
+            z.flat[nan_at % z.size] = np.nan
         z_before = z.copy()
         x, iters, resid = kernels.tv_prox_dual(z, mu, 0.125, max_iters, tol)
         x_ref, iters_ref, resid_ref = reference_tv_prox_dual(z, mu, 0.125, max_iters, tol)
-        assert np.array_equal(x, x_ref)
+        assert np.array_equal(x, x_ref, equal_nan=True)
         assert iters == iters_ref
-        assert resid == resid_ref
-        assert np.array_equal(z, z_before)
+        assert resid == resid_ref or (np.isnan(resid) and np.isnan(resid_ref))
+        assert np.array_equal(z, z_before, equal_nan=True)
         assert not np.shares_memory(x, z)
 
     def test_zero_mu_returns_input(self):
@@ -87,3 +103,20 @@ class TestDualPaths:
         _, it_loose, res = kernels.tv_prox_dual(z, 0.3, 0.125, 10000, 1e-6)
         assert it_loose < 10000
         assert res < 1e-6
+
+    def test_two_full_residual_passes_when_capped(self, monkeypatch):
+        # A 32x32 recon-like image at the recon's mu and inner settings: the
+        # loop runs to its cap, and only the first and the last iteration
+        # take the full max-norm pass; the others are refuted by witnesses.
+        z = make_phantom(32) + 0.05 * np.random.default_rng(0).standard_normal((32, 32))
+        calls = []
+        full_pass = kernels._max_change
+
+        def counted(*args):
+            calls.append(None)
+            return full_pass(*args)
+
+        monkeypatch.setattr(kernels, "_max_change", counted)
+        _, iters, resid = kernels.tv_prox_dual(z, 0.01, 0.125, 60, 1e-9)
+        assert iters == 60 and resid >= 1e-9
+        assert len(calls) == 2

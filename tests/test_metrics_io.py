@@ -25,6 +25,8 @@ from sdred.priors import MismatchRow
 from sdred.solver import IterateTrace
 from sdred.theory import BoundReport
 
+from trace_helpers import record
+
 
 class TestPsnr:
     def test_identical_is_infinite(self):
@@ -177,9 +179,9 @@ class TestMaskFiles:
 class TestTraceCsv:
     def _trace(self):
         trace = IterateTrace()
-        trace.record(0, 1.0, 2.0, 3.5, 0.25, 31.7)
-        trace.record(1, 0.5, None, None, None, None)
-        trace.record(2, 0.25, 1.0, None, 0.125, math.inf)
+        record(trace, 0, 1.0, 2.0, 3.5, 0.25, 31.7)
+        record(trace, 1, 0.5, None, None, None, None)
+        record(trace, 2, 0.25, 1.0, None, 0.125, math.inf)
         return trace
 
     def test_roundtrip_with_empty_optionals(self, tmp_path):

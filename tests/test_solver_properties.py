@@ -30,6 +30,8 @@ from sdred.solver import (
     run_sd_red,
 )
 
+from trace_helpers import record
+
 TOL = 1e-12
 
 
@@ -108,7 +110,7 @@ def reference_run(problem, config):
             trace.r0 = row[3]
         note_distance(row[3])
         if k % config.record_stride == 0:
-            trace.record(k, *row)
+            record(trace, k, *row)
         x_new = x - config.gamma * step
         if not np.all(np.isfinite(x_new)):
             raise DivergenceError(k + 1)
@@ -120,7 +122,7 @@ def reference_run(problem, config):
             break
     _, row = diagnostics(x)
     note_distance(row[3])
-    trace.record(stopped_at, *row)
+    record(trace, stopped_at, *row)
     trace.final = x
     trace.stopped_at = stopped_at
     return trace
@@ -129,7 +131,8 @@ def reference_run(problem, config):
 def close(a, b):
     if a is None or b is None:
         return a is b
-    return abs(a - b) <= TOL * max(1.0, abs(b))
+    # Equal infinities first: their difference is NaN.
+    return a == b or abs(a - b) <= TOL * max(1.0, abs(b))
 
 
 def outcome(run, problem, config):
@@ -194,6 +197,17 @@ def test_run_sd_red_matches_reference_loop(family, mismatch, seed, with_objectiv
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "BLOCK_FLOATS", block_floats)
         assert_same(*run_both(problem, config))
+
+
+@pytest.mark.parametrize("mismatch", [None, "fixed"])
+def test_run_started_at_ground_truth_matches_reference_loop(mismatch):
+    """The first record's PSNR is inf on both sides, and equal infinities match."""
+    problem, objective, truth = build("tv", mismatch, seed=5, with_objective=True)
+    config = make_config(problem, objective, truth, iters=6, stride=2, tol=0.0)
+    config.x0 = truth
+    got, want = run_both(problem, config)
+    assert got.psnr[0] == want.psnr[0] == np.inf
+    assert_same(got, want)
 
 
 def count_prior_calls(problem, monkeypatch):

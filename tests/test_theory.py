@@ -23,6 +23,8 @@ from sdred.theory import (
     verify_theorem4_trace,
 )
 
+from trace_helpers import record
+
 
 class TestTheorem1Constants:
     def test_reference_values(self):
@@ -411,7 +413,7 @@ def _error_cases():
     def base(n=5, start=0):
         trace = IterateTrace()
         for k in range(start, start + n):
-            trace.record(k, 1.0 / (k + 1), None, 2.0 / (k + 1), 0.5 / (k + 1), None)
+            record(trace, k, 1.0 / (k + 1), None, 2.0 / (k + 1), 0.5 / (k + 1), None)
         trace.r0, trace.r_max = 0.5, 0.5
         return trace
 

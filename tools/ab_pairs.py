@@ -12,7 +12,19 @@ The report gives one line per pair with each end-to-end metric as
 parent/change, then per metric each side's median and quartiles and the
 pairs the change won, a win being strictly better in the ``better``
 direction that ``BENCHMARK.json`` (read from CHANGE_DIR) gives the metric.
-A metric is read as ``metrics[name]["value"]``.
+A metric is read as ``metrics[name]["value"]``.  Each metric line that
+``BENCHMARK.json`` gives a relative ``bound`` ends with a verdict, tested
+in this order:
+
+* ``gain``: the change won at least 9 of 10 pairs (ties count for neither),
+  its median beats the parent's by more than the parent's interquartile
+  range, and it failed no larger share of its operations than the parent;
+* ``worse``: the change's median is worse than the parent's by more than
+  ``bound`` times the parent's median;
+* ``unresolved``: the parent's interquartile range is wider than that
+  bound, and not every change run beats every parent run;
+* ``no worse``: any other case.
+
 The last lines total ``attempted`` and ``failed`` per side.
 
 Exit status: 0 when every run gave a result, 1 when a run failed (the
@@ -79,38 +91,69 @@ def won(change, parent, better):
     return change > parent if better == "higher" else change < parent
 
 
+def verdict(parent, change, better, bound, more_failed=False):
+    """``gain``, ``worse``, ``unresolved`` or ``no worse`` for paired runs of one metric.
+
+    ``more_failed`` is true when the change failed a larger share of its
+    operations than the parent; no metric then reads ``gain``.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    q1, median, q3 = quartiles(parent)
+    advance = sign * (quartiles(change)[1] - median)  # positive when the change is better
+    wins = sum(won(c, p, better) for p, c in zip(parent, change))
+    allowed = bound * abs(median)
+    if not more_failed and 10 * wins >= 9 * len(parent) and advance > q3 - q1:
+        return "gain"
+    if -advance > allowed:
+        return "worse"
+    if q3 - q1 > allowed and not all(won(c, p, better) for c in change for p in parent):
+        return "unresolved"
+    return "no worse"
+
+
 def report(pairs, metrics, out):
-    """Write the comparison of ``pairs``, a list of (seed, first side, {side: result})."""
+    """Write the comparison of ``pairs``, a list of (seed, first side, {side: result}).
+
+    ``metrics`` maps each metric name to its ``better`` direction and its
+    bound, None where ``BENCHMARK.json`` gives none.
+    """
     for seed, first, results in pairs:
         cells = []
         for name in metrics:
             values = [metric(results[side], name) for side in SIDES]
             cells.append(f"{name} {values[0]!r}/{values[1]!r}")
         print(f"seed {seed} ({first} first): " + "; ".join(cells), file=out)
-    for name, better in metrics.items():
+    totals = {side: [sum(results[side][key] for _, _, results in pairs)
+                     for key in ("attempted", "failed")] for side in SIDES}
+    shares = {side: failed / max(attempted, 1) for side, (attempted, failed) in totals.items()}
+    more_failed = shares["change"] > shares["parent"]
+    for name, (better, bound) in metrics.items():
         both = [(metric(results["parent"], name), metric(results["change"], name))
                 for _, _, results in pairs]
         both = [(p, c) for p, c in both if p is not None and c is not None]
         if not both:
             print(f"{name}: not reported", file=out)
             continue
+        parent, change = (list(values) for values in zip(*both))
         sides = []
-        for side, values in zip(SIDES, zip(*both)):
-            q1, median, q3 = quartiles(list(values))
+        for side, values in zip(SIDES, (parent, change)):
+            q1, median, q3 = quartiles(values)
             sides.append(f"{side} median {median:.6g} [q1 {q1:.6g}, q3 {q3:.6g}]")
         wins = sum(won(c, p, better) for p, c in both)
-        print(f"{name} ({better} is better): " + ", ".join(sides)
-              + f"; change won {wins} of {len(both)}", file=out)
-    for side in SIDES:
-        attempted = sum(results[side]["attempted"] for _, _, results in pairs)
-        failed = sum(results[side]["failed"] for _, _, results in pairs)
+        line = (f"{name} ({better} is better): " + ", ".join(sides)
+                + f"; change won {wins} of {len(both)}")
+        if bound is not None:
+            line += "; verdict: " + verdict(parent, change, better, bound, more_failed)
+        print(line, file=out)
+    for side, (attempted, failed) in totals.items():
         print(f"{side}: attempted {attempted}, failed {failed}", file=out)
 
 
 def main(argv=None, out=sys.stdout):
     args = parse_args(sys.argv[1:] if argv is None else argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    metrics = {entry["name"]: entry["better"] for entry in spec["end_to_end"]}
+    metrics = {entry["name"]: (entry["better"], entry.get("bound"))
+               for entry in spec["end_to_end"]}
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs = []
     status = 0
