@@ -5,7 +5,6 @@ from .objectives import AnisotropicTV, DataFidelity, L1Norm, moreau_envelope, mo
 from .operators import (
     CoilOperator,
     FourierSubsampling,
-    IdentityOperator,
     LinearOperator,
     MaskProjection,
     MatrixOperator,
@@ -27,7 +26,6 @@ from .priors import (
     ProximalPrior,
     density_ratio_to_epsilon,
     estimate_mismatch_epsilon,
-    estimate_prior_lipschitz,
     gaussian_map_denoise,
     map_denoiser_1d,
     perturb_prior,
@@ -40,7 +38,6 @@ from .solver import (
     Problem,
     SolverConfig,
     check_step_size,
-    red_step,
     reference_zero,
     residual,
     run_sd_red,

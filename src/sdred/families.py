@@ -14,7 +14,7 @@ import numpy as np
 from .objectives import DataFidelity, L1Norm
 from .operators import MatrixOperator
 from .priors import LinearPrior, ProximalPrior, perturb_prior
-from .solver import Problem, SolverConfig, default_gamma, reference_zero
+from .solver import Problem, SolverConfig, affine_residual, default_gamma, reference_zero
 
 
 @dataclass
@@ -38,7 +38,6 @@ def _linear_base(seed, mat, lam, rng):
     op = MatrixOperator(mat)
     return {
         "seed": seed,
-        "mat": mat,
         "prior": prior,
         "lam": lam,
         "y": y,
@@ -91,16 +90,15 @@ def make_linear_sweep_cell(base, tau, sigma, epsilon, t):
     The mismatch direction comes from the base seed, so it is identical
     across cells and the converged distance to the true fixed point scales
     exactly with tau*sigma*epsilon at fixed tau.  The reference is the dense
-    solve of (A^T A + tau*(I - lam*Q)) x = A^T y + tau*b.
+    solve of K x = h, with (K, h) = (A^T A + tau*(I - lam*Q), A^T y + tau*b)
+    from :func:`~sdred.solver.affine_residual`.
     """
-    mat, prior, y, L = base["mat"], base["prior"], base["y"], base["L"]
-    n = mat.shape[1]
-    fid = DataFidelity(base["op"], y, lipschitz=L)
+    prior, L = base["prior"], base["L"]
+    fid = DataFidelity(base["op"], base["y"], lipschitz=L)
     mismatched = perturb_prior(prior, epsilon, mode="fixed", direction_seed=base["seed"])
     problem = Problem(fidelity=fid, prior=prior, tau=tau, sigma=sigma, mismatched=mismatched)
     gamma = default_gamma(base["lam"], L, tau)
-    system = mat.T @ mat + tau * (np.eye(n) - prior.matrix)
-    x_ref = np.linalg.solve(system, mat.T @ y + tau * prior.offset)
+    x_ref = np.linalg.solve(*affine_residual(problem))
     config = SolverConfig(gamma=gamma, max_iters=t, x_ref=x_ref)
     return problem, config
 

@@ -123,6 +123,25 @@ def _float_cells(values):
     return list(map(repr, map(float, values)))
 
 
+def _blank_cells(values):
+    return [""] * len(values)
+
+
+def _optional_float_format(column):
+    """The cell format of a column of optional floats, chosen once per column.
+
+    A column of Python floats needs no float() per value, and a column of
+    None is blanks; anything else (numpy scalars, a mix with None) goes
+    through :func:`_float_cells`.
+    """
+    kinds = set(map(type, column))
+    if kinds <= {float}:
+        return _repr_cells
+    if kinds == {type(None)}:
+        return _blank_cells
+    return _float_cells
+
+
 def _write_columns(path, header, columns, formats):
     """Write equal-length columns with csv.writer's bytes: '\r\n' line ends.
 
@@ -136,13 +155,14 @@ def _write_columns(path, header, columns, formats):
         for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
             stop = start + _ROWS_PER_WRITE
             cells = [fmt(column[start:stop]) for column, fmt in zip(columns, formats)]
-            fh.write("".join(",".join(row) + "\r\n" for row in zip(*cells)))
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def write_trace_csv(path, trace):
     columns = (trace.iters, trace.g_norm_sq, trace.g_hat_norm_sq, trace.objective,
                trace.dist_to_ref, trace.psnr)
-    _write_columns(path, TRACE_COLUMNS, columns, (_str_cells,) + (_float_cells,) * 5)
+    formats = [_str_cells] + [_optional_float_format(column) for column in columns[1:]]
+    _write_columns(path, TRACE_COLUMNS, columns, formats)
 
 
 def read_trace_csv(path):

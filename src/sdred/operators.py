@@ -60,18 +60,6 @@ class LinearOperator:
         return self._norm_cache
 
 
-class IdentityOperator(LinearOperator):
-    def __init__(self, shape):
-        super().__init__(shape, shape)
-        self._norm_cache = 1.0
-
-    def _forward(self, x):
-        return x.copy()
-
-    def _adjoint(self, y):
-        return y.copy()
-
-
 class MatrixOperator(LinearOperator):
     """Dense matrix acting on 1-D vectors; adjoint is the conjugate transpose."""
 

@@ -186,26 +186,6 @@ def perturb_prior(base, epsilon, mode="fixed", direction_seed=0):
     return MismatchedPrior(base, epsilon, mode=mode, direction_seed=direction_seed)
 
 
-def estimate_prior_lipschitz(prior, shape, sigma, probe_count=100, scale=1.0, seed=0):
-    """Empirical Lipschitz constant: max ratio over random probe pairs.
-
-    A lower bound on the true constant; deterministic given the seed.
-    """
-    if probe_count < 1:
-        raise ValueError("need at least one probe pair")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(probe_count):
-        x = scale * rng.standard_normal(shape)
-        z = scale * rng.standard_normal(shape)
-        dxz = np.linalg.norm(x - z)
-        if dxz == 0.0:
-            continue
-        dd = np.linalg.norm(prior.apply(x, sigma) - prior.apply(z, sigma))
-        worst = max(worst, float(dd / dxz))
-    return worst
-
-
 @dataclass(frozen=True)
 class MismatchRow:
     sigma: float

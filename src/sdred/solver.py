@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import psnr
+from .operators import MatrixOperator, _check_shape
 from .priors import MismatchedPrior
 
 
@@ -111,11 +112,38 @@ def residual(problem, x, use_mismatched=False):
     return problem.fidelity.gradient(x) + problem.tau * (x - denoised)
 
 
-def red_step(problem, x, gamma, use_mismatched=False):
-    """One fixed-point update x - gamma * G(x)."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    return x - gamma * residual(problem, x, use_mismatched=use_mismatched)
+def affine_residual(problem, use_mismatched=False):
+    """Dense (K, h) with G(x) = K x - h, or None when G is not matrix-affine.
+
+    G is matrix-affine when the fidelity operator is a real
+    :class:`MatrixOperator` and the prior (the mismatched one when
+    requested) has ``affine_parts`` D(x) = W x + b.  Then
+    K = A^T A + tau*(I - W) and h = A^T y + tau*b, with column j of W
+    taken as W applied to the j-th unit vector.
+    """
+    fid = problem.fidelity
+    if not isinstance(fid.op, MatrixOperator) or not np.isrealobj(fid.op.mat):
+        return None
+    prior = problem.prior
+    if use_mismatched:
+        if problem.mismatched is None:
+            raise ValueError("problem has no mismatched prior attached")
+        prior = problem.mismatched
+    shape = fid.op.input_shape
+    parts = prior.affine_parts(problem.sigma, shape)
+    if parts is None:
+        return None
+    apply_w, _, offset = parts
+    eye = np.eye(shape[0])
+    w = np.stack([apply_w(e) for e in eye], axis=1)
+    mat = fid.op.mat
+    return mat.T @ mat + problem.tau * (eye - w), fid.adjoint_image() + problem.tau * offset
+
+
+def _affine_step(matrix, offset, x, out):
+    """out = matrix @ x + offset: one step of a matrix-affine SD-RED run."""
+    matrix.dot(x, out)  # the method skips np.dot's dispatch, about half its cost at n = 8
+    out += offset
 
 
 @dataclass(frozen=True)
@@ -170,11 +198,21 @@ def run_sd_red(problem, config):
     when ``config.tol`` is positive and the relative change drops below it.
     Non-finite iterates abort with :class:`DivergenceError` at once.
 
-    Iterates and residuals go into the rows of block buffers of about
-    ``BLOCK_FLOATS`` floats; the distances and squared norms of a block are
-    reduced together when it fills, and once more with the final iterate.
-    Each step is written into its buffer row with the arithmetic of
-    ``x - gamma*G(x)``, so iterates do not depend on the block size.
+    A step takes one of two paths.  When :func:`affine_residual` gives the
+    dense parts of both residuals (a real matrix fidelity with an affine
+    prior, and a mismatched prior that is absent or affine too), the step
+    x - gamma*G-hat(x) is the one precomposed map (I - gamma*K-hat) x +
+    gamma*h-hat, and G and G-hat are formed only at recorded iterates, by
+    one matrix product per block.  Every other problem (proximal priors,
+    hashed mismatch, Fourier operators) evaluates G, and G-hat, at every
+    iterate with the arithmetic of :func:`residual` and steps by
+    ``x - gamma*G(x)``; the objective shares A x - y with grad g(x) there.
+    The two paths agree to rounding; each is deterministic.
+
+    Iterates, and on the generic path residuals, go into the rows of block
+    buffers of about ``BLOCK_FLOATS`` floats; the distances and squared
+    norms of a block are reduced together when it fills, and once more with
+    the final iterate.  Iterates do not depend on the block size.
     Finiteness is tested per step through x.x, which is finite exactly
     when x is unless the entries of a finite x pass about 1e154; only then
     (with numpy's overflow warning) is every entry tested.
@@ -202,10 +240,21 @@ def run_sd_red(problem, config):
     shape = x0.shape
     rows = max(1, BLOCK_FLOATS // x0.size)
     xs = np.empty((rows + 1,) + shape)  # the block's iterates; row 0 starts it
-    gs = np.empty((rows + 1,) + shape)  # their true-prior residuals
-    hs = np.empty((rows + 1,) + shape) if use_hat else None  # mismatched ones
     xs[0] = x0
     trace = IterateTrace()
+
+    dense = affine_residual(problem)
+    dense_hat = dense
+    if use_hat and dense is not None:
+        dense_hat = affine_residual(problem, use_mismatched=True)
+    affine = dense_hat is not None
+    if affine:
+        _check_shape("run_sd_red x0", x0, fid.op.input_shape)
+        step_matrix = np.eye(x0.size) - gamma * dense_hat[0]
+        step_offset = gamma * dense_hat[1]
+    else:
+        gs = np.empty((rows + 1,) + shape)  # the block's true-prior residuals
+        hs = np.empty((rows + 1,) + shape) if use_hat else None  # mismatched ones
 
     # The mismatch wrapper shares the base denoiser evaluation, so the true
     # residual plus the known offset gives the mismatched residual for free.
@@ -213,7 +262,7 @@ def run_sd_red(problem, config):
     # once.
     shared_offset = isinstance(mismatched, MismatchedPrior) and mismatched.base is prior
     tau_offset = None
-    if shared_offset and mismatched.mode == "fixed":
+    if shared_offset and mismatched.mode == "fixed" and not affine:
         tau_offset = tau * mismatched.offset(xs[0], sigma)
 
     peak = None
@@ -245,6 +294,22 @@ def run_sd_red(problem, config):
                 g_hat += grad
         return obj
 
+    def dense_residuals(recorded):
+        # G and G-hat of the recorded iterates, one matrix product each; the
+        # objective is fid.value + objective.value, as residuals() takes it.
+        if config.objective is None:
+            objectives.extend([None] * len(recorded))
+        else:
+            objectives.extend(fid.value(x) + config.objective.value(x) for x in recorded)
+        (k_mat, h), (k_hat, h_hat) = dense, dense_hat
+        g = recorded @ k_mat.T
+        g -= h
+        if not use_hat:
+            return g, None
+        g_hat = recorded @ k_hat.T
+        g_hat -= h_hat
+        return g, g_hat
+
     def sq_norms(block):
         flat = block.reshape(len(block), x0.size)
         return np.einsum("ij,ij->i", flat, flat)
@@ -260,8 +325,12 @@ def run_sd_red(problem, config):
             m += 1
         count = len(rec)
         trace.iters.extend(k0 + r for r in rec)
-        trace.g_norm_sq.extend(sq_norms(gs[rec]).tolist())
-        trace.g_hat_norm_sq.extend(sq_norms(hs[rec]).tolist() if use_hat else [None] * count)
+        if affine:
+            g, g_hat = dense_residuals(xs[rec])
+        else:
+            g, g_hat = gs[rec], (hs[rec] if use_hat else None)
+        trace.g_norm_sq.extend(sq_norms(g).tolist())
+        trace.g_hat_norm_sq.extend(sq_norms(g_hat).tolist() if use_hat else [None] * count)
         trace.objective.extend(objectives)
         objectives.clear()
         if config.x_ref is None:
@@ -290,14 +359,18 @@ def run_sd_red(problem, config):
         if i == rows:
             roll(k0)
             k0, i = k, 0
-        x, x_new, g = xs[i], xs[i + 1], gs[i]
-        g_hat = hs[i] if use_hat else None
-        recorded = k % stride == 0
-        obj = residuals(x, g, g_hat, recorded)
-        if recorded:
-            objectives.append(obj)
-        np.multiply(g_hat if use_hat else g, gamma, out=x_new)
-        np.subtract(x, x_new, out=x_new)
+        x, x_new = xs[i], xs[i + 1]
+        if affine:
+            _affine_step(step_matrix, step_offset, x, x_new)
+        else:
+            g = gs[i]
+            g_hat = hs[i] if use_hat else None
+            recorded = k % stride == 0
+            obj = residuals(x, g, g_hat, recorded)
+            if recorded:
+                objectives.append(obj)
+            np.multiply(g_hat if use_hat else g, gamma, out=x_new)
+            np.subtract(x, x_new, out=x_new)
         i += 1
         v = flat[i]
         if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
@@ -311,7 +384,8 @@ def run_sd_red(problem, config):
     if i == rows:
         roll(k0)
         k0, i = stopped_at, 0
-    objectives.append(residuals(xs[i], gs[i], hs[i] if use_hat else None, True))
+    if not affine:
+        objectives.append(residuals(xs[i], gs[i], hs[i] if use_hat else None, True))
     flush(k0, i, True)
     trace.final = xs[i].copy()
     trace.stopped_at = stopped_at

@@ -50,6 +50,19 @@ class TestSweepCells:
         assert abs(dists[(1.0, 0.3)] - 0.3 * unit) <= 1e-8
 
 
+    def test_reference_is_the_old_dense_solve_bitwise(self):
+        # x_ref solves (A^T A + tau*(I - W)) x = A^T y + tau*b, as the
+        # builder wrote it before it took (K, h) from affine_residual.
+        for seed in range(4):
+            base = make_linear_sweep_base(seed, n=3 + 5 * seed, lam=0.4)
+            mat, prior, y = base["op"].mat, base["prior"], base["y"]
+            for tau, sigma, eps in [(1.0, 0.5, 0.0), (0.7, 2.0, 0.25)]:
+                _, cfg = make_linear_sweep_cell(base, tau, sigma, eps, t=10)
+                system = mat.T @ mat + tau * (np.eye(mat.shape[1]) - prior.matrix)
+                want = np.linalg.solve(system, mat.T @ y + tau * prior.offset)
+                assert np.array_equal(cfg.x_ref, want), (seed, tau)
+
+
 class TestProxFamily:
     def test_tau_sigma_coupling(self):
         inst = make_prox_l1_instance(0, t=10)

@@ -287,3 +287,37 @@ def test_bound_report_writer_matches_csv_writer(tmp_path_factory, data, start):
     write_bound_report_csv(tmp / "got.csv", report)
     csv_writer_report(tmp / "want.csv", report)
     assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+def _column_of(kind, n, rng):
+    """A trace column of one kind; "mixed" interleaves floats, numpy scalars,
+    integers and None."""
+    values = (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist()
+    if kind == "floats":
+        return values
+    if kind == "none":
+        return [None] * n
+    if kind == "numpy":
+        return list(np.array(values))
+    if kind == "inf-nan":
+        return [(math.inf, -math.inf, math.nan, -0.0)[i % 4] for i in range(n)]
+    return [(v, np.float64(v), None, int(i))[i % 4] for i, v in enumerate(values)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 150])
+@pytest.mark.parametrize("kinds", [
+    ("floats",) * 5, ("none",) * 5, ("numpy",) * 5, ("inf-nan",) * 5, ("mixed",) * 5,
+    ("floats", "none", "inf-nan", "numpy", "mixed"),
+    ("mixed", "floats", "none", "none", "inf-nan"),
+])
+def test_trace_writer_matches_csv_writer_per_column_kind(tmp_path, kinds, n):
+    """Each column's cell format is chosen once; the bytes stay the row-by-row
+    csv.writer's for every kind of column."""
+    rng = np.random.default_rng(len(set(kinds)) * 1000 + n)
+    trace = IterateTrace()
+    trace.iters = list(range(n))
+    (trace.g_norm_sq, trace.g_hat_norm_sq, trace.objective, trace.dist_to_ref,
+     trace.psnr) = (_column_of(kind, n, rng) for kind in kinds)
+    write_trace_csv(tmp_path / "got.csv", trace)
+    csv_writer_trace(tmp_path / "want.csv", trace)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -12,7 +12,9 @@ from sdred.objectives import (
     moreau_envelope,
     moreau_gradient,
 )
-from sdred.operators import IdentityOperator, MatrixOperator, make_fourier_subsampling, make_radial_mask
+from sdred.operators import MatrixOperator, make_fourier_subsampling, make_radial_mask
+
+from operator_helpers import IdentityOperator
 
 
 def central_diff_gradient(f, x, h=1e-6):

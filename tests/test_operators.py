@@ -4,7 +4,6 @@ import pytest
 from sdred.operators import (
     CoilOperator,
     FourierSubsampling,
-    IdentityOperator,
     MaskProjection,
     MatrixOperator,
     SamplingMask,
@@ -15,6 +14,8 @@ from sdred.operators import (
     make_fourier_subsampling,
     make_radial_mask,
 )
+
+from operator_helpers import IdentityOperator
 
 
 def inner(a, b):

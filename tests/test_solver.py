@@ -4,18 +4,19 @@ import pytest
 from sdred import solver
 from sdred.metrics import psnr
 from sdred.objectives import DataFidelity, L1Norm, moreau_envelope
-from sdred.operators import IdentityOperator, MatrixOperator
+from sdred.operators import MatrixOperator
 from sdred.priors import GaussianMapPrior, LinearPrior, ProximalPrior, perturb_prior
 from sdred.solver import (
     DivergenceError,
     Problem,
     SolverConfig,
     check_step_size,
-    red_step,
     reference_zero,
     residual,
     run_sd_red,
 )
+
+from operator_helpers import IdentityOperator
 
 
 def one_d_problem(epsilon=0.0):
@@ -47,20 +48,19 @@ class TestResidual:
             residual(prob, np.zeros(1), use_mismatched=True)
 
 
+@pytest.mark.filterwarnings("ignore:step size")
 class TestRedStep:
+    """One SD-RED step x - gamma*G(x), as run_sd_red takes it."""
+
+    def one_step(self, x0, gamma):
+        return run_sd_red(one_d_problem(), SolverConfig(gamma=gamma, max_iters=1, x0=x0)).final
+
     def test_fixed_point_unchanged(self):
-        prob = one_d_problem()
         x = np.array([2.0 / 3.0])
-        assert np.allclose(red_step(prob, x, 0.1), x)
+        assert np.allclose(self.one_step(x, 0.1), x)
 
     def test_hand_step(self):
-        prob = one_d_problem()
-        assert np.allclose(red_step(prob, np.array([0.0]), 0.1), [0.1])
-
-    def test_zero_gamma_identity(self):
-        prob = one_d_problem()
-        x = np.array([0.42])
-        assert np.array_equal(red_step(prob, x, 0.0), x)
+        assert np.allclose(self.one_step(np.array([0.0]), 0.1), [0.1])
 
 
 class TestRunSdRed:
@@ -100,7 +100,7 @@ class TestRunSdRed:
         cfg = SolverConfig(gamma=0.05, max_iters=1)
         trace = run_sd_red(prob, cfg)
         x0 = prob.fidelity.adjoint_image()
-        expected = red_step(prob, x0, 0.05)
+        expected = x0 - 0.05 * residual(prob, x0)
         assert np.allclose(trace.final, expected)
 
     def test_divergence_detected_with_iteration_index(self):
@@ -219,7 +219,7 @@ class TestSmoothedDescent:
         x = fid.adjoint_image()
         for _ in range(100):
             g_true = residual(prob, x, use_mismatched=False)
-            x_next = red_step(prob, x, gamma, use_mismatched=True)
+            x_next = x - gamma * residual(prob, x, use_mismatched=True)
             lhs = f_smooth(x_next)
             rhs = (
                 f_smooth(x)

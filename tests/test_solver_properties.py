@@ -17,7 +17,7 @@ from sdred.operators import (
     make_fourier_subsampling,
     make_radial_mask,
 )
-from sdred.priors import LinearPrior, ProximalPrior, perturb_prior
+from sdred.priors import GaussianMapPrior, LinearPrior, ProximalPrior, perturb_prior
 from sdred.solver import (
     DivergenceError,
     IterateTrace,
@@ -38,11 +38,15 @@ TOL = 1e-12
 def build(family, mismatch, seed, with_objective):
     """A random problem of one family and the objective to record, if any.
 
+    Families: "linear" (a dense matrix with an affine contraction prior),
+    "l1" (the same matrices with the l1 prox), "tv" (8x8 Fourier sampling
+    with the TV prox), "gaussian" (a dense matrix with a diagonal Gaussian
+    MAP prior) and "gaussian-2d" (that prior on 8x8 Fourier sampling).
     ``mismatch`` is None, "fixed" or "hashed" (wrapping the true prior), or
     "separate" (a fixed-mode wrapper around an equal but distinct prior).
     """
     rng = np.random.default_rng(seed)
-    if family == "tv":
+    if family in ("tv", "gaussian-2d"):
         op = make_fourier_subsampling(make_radial_mask(8, 8, 3))
     else:
         n = int(rng.integers(2, 9))
@@ -58,6 +62,10 @@ def build(family, mismatch, seed, with_objective):
         lam = float(rng.uniform(0.2, 0.9))
         matrix, offset = lam * q * np.sign(np.diag(r)), 0.1 * rng.standard_normal(n)
         make_prior = lambda: LinearPrior(matrix, offset)
+    elif family.startswith("gaussian"):
+        mean = rng.standard_normal(op.input_shape)
+        variances = rng.uniform(0.2, 2.0, op.input_shape)
+        make_prior = lambda: GaussianMapPrior(mean, variances)
     else:
         make_prior = lambda: ProximalPrior(reg)
     prior = make_prior()
@@ -210,17 +218,34 @@ def test_run_started_at_ground_truth_matches_reference_loop(mismatch):
     assert_same(got, want)
 
 
-def count_prior_calls(problem, monkeypatch):
-    """A one-item list that counts the true prior's evaluations from now on."""
-    calls = [0]
-    apply = problem.prior.apply
+def count_steps(problem, monkeypatch):
+    """Counts, from now on, of the precomposed steps of the matrix-affine path
+    ("affine") and of the true prior's evaluations ("prior"), which the
+    generic path makes once per step and once for the final record."""
+    calls = {"affine": 0, "prior": 0}
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return apply(*args, **kwargs)
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(problem.prior, "apply", counted)
+    monkeypatch.setattr(solver, "_affine_step", counting("affine", solver._affine_step))
+    monkeypatch.setattr(problem.prior, "apply", counting("prior", problem.prior.apply))
     return calls
+
+
+def takes_affine_path(family, mismatch):
+    """A dense matrix, an affine prior and no hashed mismatch."""
+    return family in ("linear", "gaussian") and mismatch != "hashed"
+
+
+def step_counts(family, mismatch, steps, final_record):
+    """The expected counts of :func:`count_steps` after ``steps`` steps; the
+    generic path evaluates the prior once more when ``final_record``."""
+    if takes_affine_path(family, mismatch):
+        return {"affine": steps, "prior": 0}
+    return {"affine": 0, "prior": steps + final_record}
 
 
 @pytest.mark.parametrize("family", ["linear", "l1", "tv"])
@@ -231,14 +256,14 @@ def test_divergence_index_matches_reference_loop(family, mismatch, monkeypatch):
                          gamma_scale=1e4)
     want = outcome(reference_run, problem, config)
     assert isinstance(want, DivergenceError)
-    calls = count_prior_calls(problem, monkeypatch)
+    calls = count_steps(problem, monkeypatch)
     for block_floats in BLOCK_SIZES:
         monkeypatch.setattr(solver, "BLOCK_FLOATS", block_floats)
-        calls[0] = 0
+        calls.update(affine=0, prior=0)
         got = outcome(run_sd_red, problem, config)
         assert_same(got, want)
-        # One evaluation per step: no step runs past the first non-finite iterate.
-        assert calls[0] == got.iteration, block_floats
+        # One step each: no step runs past the first non-finite iterate.
+        assert calls == step_counts(family, mismatch, got.iteration, False), block_floats
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["after", "on", "before"])
@@ -262,10 +287,38 @@ def test_run_ends_beside_a_block_edge(family, ending, offset, monkeypatch):
     else:
         d = want.iteration
     monkeypatch.setattr(solver, "BLOCK_FLOATS", (d + offset) * truth.size)
-    calls = count_prior_calls(problem, monkeypatch)
+    calls = count_steps(problem, monkeypatch)
     assert_same(outcome(run_sd_red, problem, config), want)
-    # One evaluation per step, and one more for the final record of a stop.
-    assert calls[0] == d + (ending == "tolerance")
+    # One step each, and no step after a stop; the generic path evaluates
+    # the prior once more for the final record of a stop.
+    assert calls == step_counts(family, "fixed", d, ending == "tolerance")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family, mismatch", [
+    ("linear", None), ("linear", "fixed"), ("linear", "separate"),
+    ("gaussian", None), ("gaussian", "fixed"), ("gaussian", "separate"),
+])
+def test_matrix_affine_problems_take_the_affine_path(family, mismatch, seed, monkeypatch):
+    problem, objective, truth = build(family, mismatch, seed, with_objective=True)
+    config = make_config(problem, objective, truth, iters=30, stride=4, tol=0.0)
+    want = outcome(reference_run, problem, config)
+    calls = count_steps(problem, monkeypatch)
+    assert_same(outcome(run_sd_red, problem, config), want)
+    assert calls == {"affine": 30, "prior": 0}
+
+
+@pytest.mark.parametrize("family, mismatch", [
+    ("linear", "hashed"), ("gaussian", "hashed"), ("l1", None), ("l1", "fixed"),
+    ("tv", "fixed"), ("gaussian-2d", None), ("gaussian-2d", "fixed"),
+])
+def test_other_problems_take_the_generic_path(family, mismatch, monkeypatch):
+    problem, objective, truth = build(family, mismatch, seed=4, with_objective=True)
+    config = make_config(problem, objective, truth, iters=30, stride=4, tol=0.0)
+    want = outcome(reference_run, problem, config)
+    calls = count_steps(problem, monkeypatch)
+    assert_same(outcome(run_sd_red, problem, config), want)
+    assert calls == {"affine": 0, "prior": 31}
 
 
 def test_large_images_get_one_row_blocks(monkeypatch):
