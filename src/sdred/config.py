@@ -98,6 +98,11 @@ _DISTANCE = {
 # Prior Lipschitz constants of the linear family: the contraction theory needs them in (0, 1).
 _CONTRACTION_KEYS = ("lam", "lam_min", "lam_max")
 
+# Least values of the counts of a verify-bounds run, and its (low, high)
+# ranges: below them a run verifies nothing or its instance draws fail.
+_VERIFY_MINIMUMS = {"instances": 1, "iters": 1, "n_max": 2, "fstar_iters": 1, "eps_min": 0.0}
+_VERIFY_RANGES = (("eps_min", "eps_max"), ("lam_min", "lam_max"))
+
 
 def _swept(schema):
     """A sweep schema: the single tau/sigma/epsilon keys become trailing grids."""
@@ -227,6 +232,16 @@ def resolve(text, command):
     for key in _CONTRACTION_KEYS:
         if key in resolved and not 0.0 < resolved[key] < 1.0:
             raise ConfigError(f"key {key!r}: expected a value in (0, 1), got {resolved[key]!r}")
+    if command == "verify-bounds":
+        for key, least in _VERIFY_MINIMUMS.items():
+            value = resolved.get(key, least)
+            if not value >= least:
+                raise ConfigError(f"key {key!r}: expected at least {least!r}, got {value!r}")
+        for low, high in _VERIFY_RANGES:
+            if low in resolved and not resolved[low] <= resolved[high]:
+                raise ConfigError(
+                    f"key {low!r}: {resolved[low]!r} exceeds {high!r} = {resolved[high]!r}"
+                )
     if kind == "prox-prior-theory":
         tau, sigma = resolved["tau"], resolved["sigma"]
         if tau > 0 and sigma > 0 and abs(tau * sigma**2 - 1.0) > 1e-12:

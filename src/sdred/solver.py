@@ -112,6 +112,10 @@ def residual(problem, x, use_mismatched=False):
     return problem.fidelity.gradient(x) + problem.tau * (x - denoised)
 
 
+def _real_matrix(fid):
+    return isinstance(fid.op, MatrixOperator) and np.isrealobj(fid.op.mat)
+
+
 def affine_residual(problem, use_mismatched=False):
     """Dense (K, h) with G(x) = K x - h, or None when G is not matrix-affine.
 
@@ -122,7 +126,7 @@ def affine_residual(problem, use_mismatched=False):
     taken as W applied to the j-th unit vector.
     """
     fid = problem.fidelity
-    if not isinstance(fid.op, MatrixOperator) or not np.isrealobj(fid.op.mat):
+    if not _real_matrix(fid):
         return None
     prior = problem.prior
     if use_mismatched:
@@ -188,6 +192,208 @@ def default_gamma(lam, L, tau):
 BLOCK_FLOATS = 8192
 
 
+def _row_sq_norms(block):
+    """||row||^2 of each row of a block, complex rows included."""
+    flat = block.reshape(len(block), math.prod(block.shape[1:]))
+    if np.iscomplexobj(flat):
+        return _row_sq_norms(flat.real) + _row_sq_norms(flat.imag)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _matrix_objectives(fid, objective, x):
+    """g + h at each row of x for a matrix fidelity, from one product X A^T."""
+    if objective is None:
+        return [None] * len(x)
+    halves = 0.5 * _row_sq_norms(x @ fid.op.mat.T - fid.y)
+    return [half + objective.value(row) for half, row in zip(halves.tolist(), x)]
+
+
+# A stepper runs the steps of one kind of problem over the rows of the
+# recorder's block of iterates ``xs``, also given as the list ``rows`` of its
+# row views (indexing a list is cheaper than indexing ``xs``).
+# ``step(i, k)`` writes row i + 1 from row i, which holds iterate k;
+# ``finish(i)`` readies row i for the final record; ``block(rec)`` gives G,
+# G-hat (None without a mismatched prior) and the objectives (None without
+# an objective) of the rows ``rec``.
+
+
+class _AffineStepper:
+    """A matrix-affine problem: G-hat(x) = K-hat x - h-hat exactly.
+
+    A step is x <- (I - gamma*K-hat) x + gamma*h-hat, one matrix product and
+    one add; G and G-hat of a block's recorded rows are one product each.
+    """
+
+    def __init__(self, problem, config, xs, rows, dense, dense_hat):
+        self.fid, self.objective = problem.fidelity, config.objective
+        self.xs, self.rows, self.dense = xs, rows, dense
+        self.dense_hat = dense_hat if problem.mismatched is not None else None
+        self.matrix = np.eye(xs[0].size) - config.gamma * dense_hat[0]
+        self.offset = config.gamma * dense_hat[1]
+
+    def step(self, i, k):
+        _affine_step(self.matrix, self.offset, self.rows[i], self.rows[i + 1])
+
+    def finish(self, i):
+        pass
+
+    def block(self, rec):
+        x = self.xs[rec]
+        (k_mat, h), g_hat = self.dense, None
+        if self.dense_hat is not None:
+            k_hat, h_hat = self.dense_hat
+            g_hat = x @ k_hat.T - h_hat
+        return x @ k_mat.T - h, g_hat, _matrix_objectives(self.fid, self.objective, x)
+
+
+class _DenseStepper:
+    """A real matrix fidelity with any prior, mismatched by none or by a
+    fixed-mode offset around it.
+
+    With Q = A^T A, c = A^T y and the offset u (zero without a mismatch),
+    a step is x <- P x + b + gamma*tau*D(x) with P = (1 - gamma*tau) I -
+    gamma*Q and b = gamma*(c + tau*u): one prior call, one matrix product
+    and three vector operations.  The rows of ``ds`` keep gamma*tau*D(x),
+    the term the step adds, so G of a block's recorded rows is
+    X (Q + tau*I)^T - c - tau*D, one product, and G-hat = G - tau*u.
+    """
+
+    def __init__(self, problem, config, xs, rows):
+        fid, mismatched = problem.fidelity, problem.mismatched
+        tau, gamma = problem.tau, config.gamma
+        mat = fid.op.mat
+        self.fid, self.objective = fid, config.objective
+        self.apply, self.sigma = problem.prior.apply, problem.sigma
+        self.gamma, self.scale = gamma, gamma * tau
+        self.kmat = mat.T @ mat + tau * np.eye(mat.shape[1])
+        self.c = fid.adjoint_image()
+        self.tau_offset = None
+        if mismatched is not None:
+            self.tau_offset = tau * mismatched.offset(xs[0], problem.sigma)
+        self.step_matrix = np.eye(mat.shape[1]) - gamma * self.kmat
+        self.step_offset = gamma * (self.c if self.tau_offset is None else self.c + self.tau_offset)
+        self.xs, self.rows = xs, rows
+        self.ds = np.empty(xs.shape)  # gamma*tau*D of each row
+
+    def step(self, i, k):
+        x, d, out = self.rows[i], self.ds[i], self.rows[i + 1]
+        np.multiply(self.apply(x, self.sigma), self.scale, out=d)
+        self.step_matrix.dot(x, out)
+        out += self.step_offset
+        out += d
+
+    def finish(self, i):
+        np.multiply(self.apply(self.rows[i], self.sigma), self.scale, out=self.ds[i])
+
+    def block(self, rec):
+        x = self.xs[rec]
+        g = x @ self.kmat.T
+        g -= self.c
+        g -= self.ds[rec] / self.gamma
+        g_hat = None if self.tau_offset is None else g - self.tau_offset
+        return g, g_hat, _matrix_objectives(self.fid, self.objective, x)
+
+
+class _GenericStepper:
+    """Any problem: G, and G-hat, at every iterate with the arithmetic of
+    :func:`residual`, and the step x - gamma*G-hat(x).
+
+    The objective, at recorded iterates, shares A x - y with grad g(x).
+    """
+
+    def __init__(self, problem, config, xs, rows):
+        prior, mismatched = problem.prior, problem.mismatched
+        self.problem, self.objective = problem, config.objective
+        self.gamma, self.stride = config.gamma, config.record_stride
+        self.use_hat = mismatched is not None
+        self.rows = rows
+        self.gs = np.empty(xs.shape)  # the block's true-prior residuals
+        self.hs = np.empty(xs.shape) if self.use_hat else self.gs  # the ones it steps by
+        self.objectives = []  # of the block's recorded iterates, in order
+        # The mismatch wrapper shares the base denoiser evaluation, so the
+        # true residual plus the known offset gives the mismatched residual
+        # for free.  A fixed-mode offset does not depend on the iterate:
+        # tau*offset is taken once.
+        self.shared_offset = isinstance(mismatched, MismatchedPrior) and mismatched.base is prior
+        self.tau_offset = None
+        if self.shared_offset and mismatched.mode == "fixed":
+            self.tau_offset = problem.tau * mismatched.offset(xs[0], problem.sigma)
+
+    def _residuals(self, i, with_objective):
+        # Writes G, and G-hat when a mismatched prior is attached, of row i.
+        p = self.problem
+        xk, g, g_hat = self.rows[i], self.gs[i], self.hs[i]
+        obj = None
+        if with_objective and self.objective is not None:
+            grad, fid_value = p.fidelity.gradient_and_value(xk)
+            obj = fid_value + self.objective.value(xk)
+        else:
+            grad = p.fidelity.gradient(xk)
+        np.subtract(xk, p.prior.apply(xk, p.sigma), out=g)
+        g *= p.tau
+        g += grad
+        if self.use_hat:
+            if self.tau_offset is not None:
+                np.subtract(g, self.tau_offset, out=g_hat)
+            elif self.shared_offset:
+                np.multiply(p.mismatched.offset(xk, p.sigma), p.tau, out=g_hat)
+                np.subtract(g, g_hat, out=g_hat)
+            else:
+                np.subtract(xk, p.mismatched.apply(xk, p.sigma), out=g_hat)
+                g_hat *= p.tau
+                g_hat += grad
+        return obj
+
+    def step(self, i, k):
+        recorded = k % self.stride == 0
+        obj = self._residuals(i, recorded)
+        if recorded:
+            self.objectives.append(obj)
+        x, out = self.rows[i], self.rows[i + 1]
+        np.multiply(self.hs[i], self.gamma, out=out)
+        np.subtract(x, out, out=out)
+
+    def finish(self, i):
+        self.objectives.append(self._residuals(i, True))
+
+    def block(self, rec):
+        objectives, self.objectives = self.objectives, []
+        return self.gs[rec], (self.hs[rec] if self.use_hat else None), objectives
+
+
+def _stepper(problem, config, xs, rows):
+    """The stepper of a problem: matrix-affine, dense-fidelity or generic."""
+    fid, mismatched = problem.fidelity, problem.mismatched
+    if not _real_matrix(fid):
+        return _GenericStepper(problem, config, xs, rows)
+    _check_shape("run_sd_red x0", xs[0], fid.op.input_shape)
+    dense = affine_residual(problem)
+    if dense is not None:
+        dense_hat = dense if mismatched is None else affine_residual(problem, use_mismatched=True)
+        if dense_hat is not None:
+            return _AffineStepper(problem, config, xs, rows, dense, dense_hat)
+    if mismatched is None or (isinstance(mismatched, MismatchedPrior)
+                              and mismatched.base is problem.prior and mismatched.mode == "fixed"):
+        return _DenseStepper(problem, config, xs, rows)
+    return _GenericStepper(problem, config, xs, rows)
+
+
+def _warn_on_step_size(problem, gamma):
+    lam = problem.prior.lipschitz(problem.sigma)
+    regime = check_step_size(lam, problem.fidelity.lipschitz, problem.tau, gamma)
+    if regime.regime == "neither":
+        warnings.warn(
+            f"step size {gamma} outside both theorem ranges "
+            f"(contraction < {regime.contraction_threshold:.3e}, "
+            f"nonexpansive < {regime.nonexpansive_threshold:.3e})"
+        )
+    elif lam < 1 and not regime.in_contraction_range:
+        warnings.warn(
+            f"step size {gamma} outside the contraction range "
+            f"(< {regime.contraction_threshold:.3e}) for a contractive prior"
+        )
+
+
 def run_sd_red(problem, config):
     """Iterate SD-RED and return the diagnostic trace.
 
@@ -198,123 +404,43 @@ def run_sd_red(problem, config):
     when ``config.tol`` is positive and the relative change drops below it.
     Non-finite iterates abort with :class:`DivergenceError` at once.
 
-    A step takes one of two paths.  When :func:`affine_residual` gives the
-    dense parts of both residuals (a real matrix fidelity with an affine
-    prior, and a mismatched prior that is absent or affine too), the step
-    x - gamma*G-hat(x) is the one precomposed map (I - gamma*K-hat) x +
-    gamma*h-hat, and G and G-hat are formed only at recorded iterates, by
-    one matrix product per block.  Every other problem (proximal priors,
-    hashed mismatch, Fourier operators) evaluates G, and G-hat, at every
-    iterate with the arithmetic of :func:`residual` and steps by
-    ``x - gamma*G(x)``; the objective shares A x - y with grad g(x) there.
-    The two paths agree to rounding; each is deterministic.
+    The loop is a recorder around one of three steppers, each of which
+    writes the next iterate from the current one and gives G, G-hat and the
+    objective of a block's recorded iterates:
 
-    Iterates, and on the generic path residuals, go into the rows of block
-    buffers of about ``BLOCK_FLOATS`` floats; the distances and squared
-    norms of a block are reduced together when it fills, and once more with
-    the final iterate.  Iterates do not depend on the block size.
-    Finiteness is tested per step through x.x, which is finite exactly
-    when x is unless the entries of a finite x pass about 1e154; only then
-    (with numpy's overflow warning) is every entry tested.
+    * matrix-affine, when :func:`affine_residual` gives the dense parts of
+      both residuals (a real matrix fidelity with an affine prior, and a
+      mismatched prior that is absent or affine too): one precomposed map
+      (I - gamma*K-hat) x + gamma*h-hat per step;
+    * dense-fidelity, for any other prior on a real matrix fidelity, with
+      no mismatch or a fixed-mode one around the true prior: one prior call
+      and one precomposed matrix product per step;
+    * generic, for everything else (Fourier operators, hashed or separate
+      mismatched priors): G, and G-hat, at every iterate with the
+      arithmetic of :func:`residual`, and the step x - gamma*G-hat(x).
+
+    The steppers agree to rounding; each is deterministic.  The recorder
+    keeps iterates in the rows of a block buffer of about ``BLOCK_FLOATS``
+    floats; the distances and squared norms of a block are reduced together
+    when it fills, and once more with the final iterate.  Iterates do not
+    depend on the block size.  Finiteness is tested per step through x.x,
+    which is finite exactly when x is unless the entries of a finite x pass
+    about 1e154; only then (with numpy's overflow warning) is every entry
+    tested.
     """
-    use_hat = problem.mismatched is not None
-    lam = problem.prior.lipschitz(problem.sigma)
-    regime = check_step_size(lam, problem.fidelity.lipschitz, problem.tau, config.gamma)
-    if regime.regime == "neither":
-        warnings.warn(
-            f"step size {config.gamma} outside both theorem ranges "
-            f"(contraction < {regime.contraction_threshold:.3e}, "
-            f"nonexpansive < {regime.nonexpansive_threshold:.3e})"
-        )
-    elif lam < 1 and not regime.in_contraction_range:
-        warnings.warn(
-            f"step size {config.gamma} outside the contraction range "
-            f"(< {regime.contraction_threshold:.3e}) for a contractive prior"
-        )
-
-    fid, prior, mismatched = problem.fidelity, problem.prior, problem.mismatched
-    tau, sigma = problem.tau, problem.sigma
-    gamma, tol, stride = config.gamma, config.tol, config.record_stride
-    x0 = config.x0 if config.x0 is not None else fid.adjoint_image()
+    _warn_on_step_size(problem, config.gamma)
+    tol, stride = config.tol, config.record_stride
+    x0 = config.x0 if config.x0 is not None else problem.fidelity.adjoint_image()
     x0 = np.asarray(x0, dtype=float)
-    shape = x0.shape
     rows = max(1, BLOCK_FLOATS // x0.size)
-    xs = np.empty((rows + 1,) + shape)  # the block's iterates; row 0 starts it
+    xs = np.empty((rows + 1,) + x0.shape)  # the block's iterates; row 0 starts it
     xs[0] = x0
+    views = list(xs)
+    stepper = _stepper(problem, config, xs, views)
     trace = IterateTrace()
-
-    dense = affine_residual(problem)
-    dense_hat = dense
-    if use_hat and dense is not None:
-        dense_hat = affine_residual(problem, use_mismatched=True)
-    affine = dense_hat is not None
-    if affine:
-        _check_shape("run_sd_red x0", x0, fid.op.input_shape)
-        step_matrix = np.eye(x0.size) - gamma * dense_hat[0]
-        step_offset = gamma * dense_hat[1]
-    else:
-        gs = np.empty((rows + 1,) + shape)  # the block's true-prior residuals
-        hs = np.empty((rows + 1,) + shape) if use_hat else None  # mismatched ones
-
-    # The mismatch wrapper shares the base denoiser evaluation, so the true
-    # residual plus the known offset gives the mismatched residual for free.
-    # A fixed-mode offset does not depend on the iterate: tau*offset is taken
-    # once.
-    shared_offset = isinstance(mismatched, MismatchedPrior) and mismatched.base is prior
-    tau_offset = None
-    if shared_offset and mismatched.mode == "fixed" and not affine:
-        tau_offset = tau * mismatched.offset(xs[0], sigma)
-
     peak = None
     if config.ground_truth is not None:
         peak = float(np.max(config.ground_truth))
-
-    def residuals(xk, g, g_hat, with_objective):
-        # Writes G(xk), and G-hat(xk) when a mismatched prior is attached,
-        # with the arithmetic of residual(); the objective, when asked for,
-        # shares A x - y with grad g(x).
-        obj = None
-        if with_objective and config.objective is not None:
-            grad, fid_value = fid.gradient_and_value(xk)
-            obj = fid_value + config.objective.value(xk)
-        else:
-            grad = fid.gradient(xk)
-        np.subtract(xk, prior.apply(xk, sigma), out=g)
-        g *= tau
-        g += grad
-        if use_hat:
-            if tau_offset is not None:
-                np.subtract(g, tau_offset, out=g_hat)
-            elif shared_offset:
-                np.multiply(mismatched.offset(xk, sigma), tau, out=g_hat)
-                np.subtract(g, g_hat, out=g_hat)
-            else:
-                np.subtract(xk, mismatched.apply(xk, sigma), out=g_hat)
-                g_hat *= tau
-                g_hat += grad
-        return obj
-
-    def dense_residuals(recorded):
-        # G and G-hat of the recorded iterates, one matrix product each; the
-        # objective is fid.value + objective.value, as residuals() takes it.
-        if config.objective is None:
-            objectives.extend([None] * len(recorded))
-        else:
-            objectives.extend(fid.value(x) + config.objective.value(x) for x in recorded)
-        (k_mat, h), (k_hat, h_hat) = dense, dense_hat
-        g = recorded @ k_mat.T
-        g -= h
-        if not use_hat:
-            return g, None
-        g_hat = recorded @ k_hat.T
-        g_hat -= h_hat
-        return g, g_hat
-
-    def sq_norms(block):
-        flat = block.reshape(len(block), x0.size)
-        return np.einsum("ij,ij->i", flat, flat)
-
-    objectives = []  # of the block's recorded iterates, in order
 
     def flush(k0, m, final):
         # Rows 0..m-1 hold iterates k0..k0+m-1, and row m the final iterate
@@ -325,18 +451,15 @@ def run_sd_red(problem, config):
             m += 1
         count = len(rec)
         trace.iters.extend(k0 + r for r in rec)
-        if affine:
-            g, g_hat = dense_residuals(xs[rec])
-        else:
-            g, g_hat = gs[rec], (hs[rec] if use_hat else None)
-        trace.g_norm_sq.extend(sq_norms(g).tolist())
-        trace.g_hat_norm_sq.extend(sq_norms(g_hat).tolist() if use_hat else [None] * count)
+        g, g_hat, objectives = stepper.block(rec)
+        trace.g_norm_sq.extend(_row_sq_norms(g).tolist())
+        trace.g_hat_norm_sq.extend([None] * count if g_hat is None
+                                   else _row_sq_norms(g_hat).tolist())
         trace.objective.extend(objectives)
-        objectives.clear()
         if config.x_ref is None:
             trace.dist_to_ref.extend([None] * count)
         else:
-            dist = np.sqrt(sq_norms(xs[:m] - config.x_ref))
+            dist = np.sqrt(_row_sq_norms(xs[:m] - config.x_ref))
             if k0 == 0:
                 trace.r0 = float(dist[0])
             top = float(dist.max())
@@ -352,40 +475,29 @@ def run_sd_red(problem, config):
         flush(k0, rows, False)
         xs[0] = xs[rows]
 
-    flat = xs.reshape(rows + 1, x0.size)
+    flat = views if x0.ndim == 1 else list(xs.reshape(rows + 1, x0.size))
+    step = stepper.step
     k0 = i = 0  # the iterate at the block's row 0, and the current row
     stopped_at = config.max_iters
     for k in range(config.max_iters):
         if i == rows:
             roll(k0)
             k0, i = k, 0
-        x, x_new = xs[i], xs[i + 1]
-        if affine:
-            _affine_step(step_matrix, step_offset, x, x_new)
-        else:
-            g = gs[i]
-            g_hat = hs[i] if use_hat else None
-            recorded = k % stride == 0
-            obj = residuals(x, g, g_hat, recorded)
-            if recorded:
-                objectives.append(obj)
-            np.multiply(g_hat if use_hat else g, gamma, out=x_new)
-            np.subtract(x, x_new, out=x_new)
+        step(i, k)
         i += 1
         v = flat[i]
         if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
             raise DivergenceError(k + 1)
         if tol > 0.0:
-            change = _norm(x_new - x) / max(_norm(x), 1.0)
-            if change < tol:
+            x = views[i - 1]
+            if _norm(views[i] - x) / max(_norm(x), 1.0) < tol:
                 stopped_at = k + 1
                 break
 
     if i == rows:
         roll(k0)
         k0, i = stopped_at, 0
-    if not affine:
-        objectives.append(residuals(xs[i], gs[i], hs[i] if use_hat else None, True))
+    stepper.finish(i)
     flush(k0, i, True)
     trace.final = xs[i].copy()
     trace.stopped_at = stopped_at

@@ -16,7 +16,8 @@ import ab_pairs  # noqa: E402
 # The stub appends "<tree> <seed>" to calls.log next to the trees and reports
 # a rate that the change beats except at seed 12, and a constant peak RSS.
 # The change doubles an iteration rate that varies little from run to run,
-# and its set-up takes twice as long.
+# and its set-up takes twice as long.  From seed 50 on, the parent reports
+# failed checks on standard error as perfbench/run.py does, at even seeds.
 STUB = """
 import json, sys
 from pathlib import Path
@@ -31,6 +32,9 @@ rate = seed + (1.0 if tree.name == "change" and seed != 12 else 0.0)
 if tree.name == "change" and seed == 99:
     sys.exit(3)
 print("progress line")
+if tree.name == "parent" and seed >= 50 and seed % 2 == 0:
+    for call in (seed * 1000, seed * 1000 + 50, seed * 1000):
+        print(f"check failed (call seed {call}): instance FAIL", file=sys.stderr)
 print(json.dumps({"correct": True, "attempted": 5, "failed": int(tree.name == "parent"),
                   "metrics": {"instances_per_s": {"value": rate, "unit": "1/s"},
                               "peak_rss_mb": {"value": 40.0, "unit": "MB"},
@@ -89,6 +93,20 @@ def test_failed_run_exits_1_and_usage_errors_exit_2(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             ab_pairs.main(argv, out=out)
         assert exc.value.code == 2
+
+
+def test_failed_call_seeds_per_pair_and_side(tmp_path):
+    trees = make_trees(tmp_path)
+    out = io.StringIO()
+    argv = trees + ["--workload", "w", "--pairs", "3", "--seconds", "1", "--seed0", "50"]
+    assert ab_pairs.main(argv, out=out) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("seed 50 (parent first): ")
+    assert lines[1] == "seed 50 failed call seeds: parent 50000 50050; change none"
+    assert lines[2].startswith("seed 51 (change first): ")
+    assert lines[3].startswith("seed 52 (parent first): ")
+    assert lines[4] == "seed 52 failed call seeds: parent 52000 52050; change none"
+    assert lines[5].startswith("instances_per_s (higher is better): ")
 
 
 def test_verdict_per_metric_with_a_bound(tmp_path):

@@ -91,6 +91,29 @@ class TestResolve:
             resolve(text, command)
 
 
+    @pytest.mark.parametrize(
+        "kind, line, key",
+        [
+            ("linear-theory", "instances = 0", "instances"),
+            ("prox-prior-theory", "instances = -3", "instances"),
+            ("prox-prior-theory", "fstar_iters = 0", "fstar_iters"),
+            ("linear-theory", "n_max = 1", "n_max"),
+            ("prox-prior-theory", "iters = 0", "iters"),
+            ("prox-prior-theory", "eps_min = 0.6", "eps_min"),
+            ("linear-theory", "eps_min = -0.1", "eps_min"),
+            ("linear-theory", "lam_min = 0.8\nlam_max = 0.3", "lam_min"),
+        ],
+    )
+    def test_verify_counts_and_ranges_that_verify_nothing_name_key(self, kind, line, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            resolve(f"kind = {kind}\n{line}\n", "verify-bounds")
+
+    def test_verify_single_point_ranges_accepted(self):
+        text = "kind = linear-theory\ninstances = 1\nn_max = 2\nlam_min = 0.5\nlam_max = 0.5\n"
+        cfg = resolve(text + "eps_min = 0.2\neps_max = 0.2\n", "verify-bounds")
+        assert (cfg["instances"], cfg["eps_min"], cfg["lam_max"]) == (1, 0.2, 0.5)
+
+
 class TestEcho:
     def test_format_roundtrips_through_parse(self):
         cfg = resolve(RECON_TV, "recon")

@@ -71,6 +71,30 @@ def test_layout_change_is_structural(tmp_path):
     assert out.getvalue().endswith("verdict lines that differ: 0\n")
 
 
+def test_resolved_config_ignores_only_its_out_line(tmp_path):
+    parent, change = tmp_path / "p", tmp_path / "c"
+    configs = {  # run: (parent text, change text)
+        "moved": ("seed = 7\nout = runs/p\n", "seed = 7\nout = runs/c\n"),
+        "reseeded": ("seed = 7\nout = x\n", "seed = 9\nout = x\n"),
+        "renamed": ("kind = a\nout = x\n", "kind = b\nout = y\n"),
+    }
+    for run, texts in configs.items():
+        for root, text in zip((parent, change), texts):
+            (root / run).mkdir(parents=True)
+            (root / run / "config_resolved.cfg").write_text(text)
+    (parent / "moved" / "notes.txt").write_text("out = runs/p\n")
+    (change / "moved" / "notes.txt").write_text("out = runs/c\n")
+    out = io.StringIO()
+    assert diff_outputs.diff_trees(parent, change, out) is False
+    assert out.getvalue().splitlines() == [
+        "identical: 1 of 4 files",
+        "differs (structure): moved/notes.txt",
+        "differs (structure): renamed/config_resolved.cfg",
+        "differs: reseeded/config_resolved.cfg max_rel=2.857e-01",
+        "verdict lines that differ: 0",
+    ]
+
+
 def test_relative_change():
     assert diff_outputs.relative_change(1.0, 1.0) == 0.0
     assert diff_outputs.relative_change(float("nan"), float("nan")) == 0.0

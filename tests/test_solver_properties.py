@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdred import solver
+from sdred.families import make_prox_l1_instance, prox_gradient_reference
 from sdred.metrics import psnr
 from sdred.objectives import AnisotropicTV, DataFidelity, L1Norm
 from sdred.operators import (
@@ -29,6 +30,7 @@ from sdred.solver import (
     residual,
     run_sd_red,
 )
+from sdred.theory import verify_theorem4_trace
 
 from trace_helpers import record
 
@@ -39,9 +41,10 @@ def build(family, mismatch, seed, with_objective):
     """A random problem of one family and the objective to record, if any.
 
     Families: "linear" (a dense matrix with an affine contraction prior),
-    "l1" (the same matrices with the l1 prox), "tv" (8x8 Fourier sampling
-    with the TV prox), "gaussian" (a dense matrix with a diagonal Gaussian
-    MAP prior) and "gaussian-2d" (that prior on 8x8 Fourier sampling).
+    "l1" (the same matrices with the l1 prox), "l1-wide" (the l1 prox with
+    fewer measurements than unknowns), "tv" (8x8 Fourier sampling with the
+    TV prox), "gaussian" (a dense matrix with a diagonal Gaussian MAP prior)
+    and "gaussian-2d" (that prior on 8x8 Fourier sampling).
     ``mismatch`` is None, "fixed" or "hashed" (wrapping the true prior), or
     "separate" (a fixed-mode wrapper around an equal but distinct prior).
     """
@@ -51,6 +54,8 @@ def build(family, mismatch, seed, with_objective):
     else:
         n = int(rng.integers(2, 9))
         m = n + int(rng.integers(0, 4))
+        if family == "l1-wide":
+            m, n = n - 1, m
         op = MatrixOperator(rng.standard_normal((m, n)) / np.sqrt(m))
     truth = rng.standard_normal(op.input_shape)
     fid = DataFidelity(op, op.forward(truth) + 0.1 * rng.standard_normal(op.output_shape))
@@ -189,7 +194,7 @@ BLOCK_SIZES = [1, 8, 17, 50, solver.BLOCK_FLOATS]
 
 @settings(max_examples=60 * len(BLOCK_SIZES), deadline=None)
 @given(
-    family=st.sampled_from(["linear", "l1", "tv"]),
+    family=st.sampled_from(["linear", "l1", "l1-wide", "tv", "gaussian", "gaussian-2d"]),
     mismatch=st.sampled_from([None, "fixed", "hashed", "separate"]),
     seed=st.integers(0, 2**32 - 1),
     with_objective=st.booleans(),
@@ -219,10 +224,10 @@ def test_run_started_at_ground_truth_matches_reference_loop(mismatch):
 
 
 def count_steps(problem, monkeypatch):
-    """Counts, from now on, of the precomposed steps of the matrix-affine path
-    ("affine") and of the true prior's evaluations ("prior"), which the
-    generic path makes once per step and once for the final record."""
-    calls = {"affine": 0, "prior": 0}
+    """Counts, from now on, of the precomposed steps of the matrix-affine
+    stepper ("affine"), of the true prior's evaluations ("prior") and of the
+    fidelity operator's forward calls ("forward")."""
+    calls = {"affine": 0, "prior": 0, "forward": 0}
 
     def counting(key, fn):
         def counted(*args, **kwargs):
@@ -232,20 +237,32 @@ def count_steps(problem, monkeypatch):
 
     monkeypatch.setattr(solver, "_affine_step", counting("affine", solver._affine_step))
     monkeypatch.setattr(problem.prior, "apply", counting("prior", problem.prior.apply))
+    op = problem.fidelity.op
+    monkeypatch.setattr(op, "forward", counting("forward", op.forward))
     return calls
 
 
-def takes_affine_path(family, mismatch):
-    """A dense matrix, an affine prior and no hashed mismatch."""
-    return family in ("linear", "gaussian") and mismatch != "hashed"
+def stepper_of(family, mismatch):
+    """The stepper run_sd_red takes: "affine" for a dense matrix with an affine
+    prior, "dense" for a dense matrix with the l1 prox, each without a hashed
+    mismatch and the l1 prox also without a separate one, else "generic"."""
+    if mismatch == "hashed" or family in ("tv", "gaussian-2d"):
+        return "generic"
+    if family in ("linear", "gaussian"):
+        return "affine"
+    return "generic" if mismatch == "separate" else "dense"
 
 
-def step_counts(family, mismatch, steps, final_record):
-    """The expected counts of :func:`count_steps` after ``steps`` steps; the
-    generic path evaluates the prior once more when ``final_record``."""
-    if takes_affine_path(family, mismatch):
-        return {"affine": steps, "prior": 0}
-    return {"affine": 0, "prior": steps + final_record}
+def step_counts(stepper, steps, final_record):
+    """The expected counts of :func:`count_steps` after ``steps`` steps.
+
+    The affine stepper calls neither the prior nor the operator; the others
+    evaluate the prior once per step and once more when ``final_record``,
+    and only the generic one evaluates A x once each time too."""
+    if stepper == "affine":
+        return {"affine": steps, "prior": 0, "forward": 0}
+    prior = steps + final_record
+    return {"affine": 0, "prior": prior, "forward": prior if stepper == "generic" else 0}
 
 
 @pytest.mark.parametrize("family", ["linear", "l1", "tv"])
@@ -259,11 +276,12 @@ def test_divergence_index_matches_reference_loop(family, mismatch, monkeypatch):
     calls = count_steps(problem, monkeypatch)
     for block_floats in BLOCK_SIZES:
         monkeypatch.setattr(solver, "BLOCK_FLOATS", block_floats)
-        calls.update(affine=0, prior=0)
+        calls.update(affine=0, prior=0, forward=0)
         got = outcome(run_sd_red, problem, config)
         assert_same(got, want)
         # One step each: no step runs past the first non-finite iterate.
-        assert calls == step_counts(family, mismatch, got.iteration, False), block_floats
+        expected = step_counts(stepper_of(family, mismatch), got.iteration, False)
+        assert calls == expected, block_floats
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["after", "on", "before"])
@@ -289,9 +307,9 @@ def test_run_ends_beside_a_block_edge(family, ending, offset, monkeypatch):
     monkeypatch.setattr(solver, "BLOCK_FLOATS", (d + offset) * truth.size)
     calls = count_steps(problem, monkeypatch)
     assert_same(outcome(run_sd_red, problem, config), want)
-    # One step each, and no step after a stop; the generic path evaluates
-    # the prior once more for the final record of a stop.
-    assert calls == step_counts(family, "fixed", d, ending == "tolerance")
+    # One step each, and no step after a stop; the steppers that call the
+    # prior evaluate it once more for the final record of a stop.
+    assert calls == step_counts(stepper_of(family, "fixed"), d, ending == "tolerance")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -305,11 +323,23 @@ def test_matrix_affine_problems_take_the_affine_path(family, mismatch, seed, mon
     want = outcome(reference_run, problem, config)
     calls = count_steps(problem, monkeypatch)
     assert_same(outcome(run_sd_red, problem, config), want)
-    assert calls == {"affine": 30, "prior": 0}
+    assert calls == step_counts("affine", 30, True)
 
 
 @pytest.mark.parametrize("family, mismatch", [
-    ("linear", "hashed"), ("gaussian", "hashed"), ("l1", None), ("l1", "fixed"),
+    ("l1", None), ("l1", "fixed"), ("l1-wide", None), ("l1-wide", "fixed"),
+])
+def test_other_priors_on_a_matrix_take_the_dense_path(family, mismatch, monkeypatch):
+    problem, objective, truth = build(family, mismatch, seed=4, with_objective=True)
+    config = make_config(problem, objective, truth, iters=30, stride=4, tol=0.0)
+    want = outcome(reference_run, problem, config)
+    calls = count_steps(problem, monkeypatch)
+    assert_same(outcome(run_sd_red, problem, config), want)
+    assert calls == step_counts("dense", 30, True)
+
+
+@pytest.mark.parametrize("family, mismatch", [
+    ("linear", "hashed"), ("gaussian", "hashed"), ("l1", "hashed"), ("l1", "separate"),
     ("tv", "fixed"), ("gaussian-2d", None), ("gaussian-2d", "fixed"),
 ])
 def test_other_problems_take_the_generic_path(family, mismatch, monkeypatch):
@@ -318,7 +348,27 @@ def test_other_problems_take_the_generic_path(family, mismatch, monkeypatch):
     want = outcome(reference_run, problem, config)
     calls = count_steps(problem, monkeypatch)
     assert_same(outcome(run_sd_red, problem, config), want)
-    assert calls == {"affine": 0, "prior": 31}
+    assert calls == step_counts("generic", 30, True)
+
+
+@pytest.mark.parametrize("seed, violation", [
+    (202000148, 3.392e-4), (501000163, 3.206e-3), (504000330, 8.856e-4),
+])
+def test_known_theorem4_failures_keep_their_violation(seed, violation):
+    """verify-prox instances that fail Theorem 4 (ROADMAP item 1) fail by the
+    same margin through run_sd_red as through the plain reference loop."""
+    inst = make_prox_l1_instance(seed)
+    c = inst.constants
+    _, f_star = prox_gradient_reference(inst.problem.fidelity, inst.problem.prior.reg)
+    got, want = (
+        verify_theorem4_trace(run(inst.problem, inst.config), f_star, L=c["L"], tau=c["tau"],
+                              gamma=c["gamma"], sigma=c["sigma"], epsilon=c["epsilon"],
+                              S=c["S"])
+        for run in (run_sd_red, reference_run)
+    )
+    assert not got.passed and not want.passed
+    assert got.max_violation == pytest.approx(want.max_violation, rel=1e-9)
+    assert got.max_violation == pytest.approx(violation, rel=1e-3)
 
 
 def test_large_images_get_one_row_blocks(monkeypatch):

@@ -9,9 +9,11 @@ even pairs and the change in odd ones, so drift on a shared host falls on
 both sides.  The last JSON line a run prints is its result.
 
 The report gives one line per pair with each end-to-end metric as
-parent/change, then per metric each side's median and quartiles and the
-pairs the change won, a win being strictly better in the ``better``
-direction that ``BENCHMARK.json`` (read from CHANGE_DIR) gives the metric.
+parent/change, followed, when a run's checks failed, by a line with the
+call seeds of its ``check failed (call seed ...)`` lines per side; then
+per metric each side's median and quartiles and the pairs the change won,
+a win being strictly better in the ``better`` direction that
+``BENCHMARK.json`` (read from CHANGE_DIR) gives the metric.
 A metric is read as ``metrics[name]["value"]``.  Each metric line that
 ``BENCHMARK.json`` gives a relative ``bound`` ends with a verdict, tested
 in this order:
@@ -34,12 +36,15 @@ standard library is used.
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# A failed check as perfbench/run.py reports it on standard error.
+_FAILED_CHECK = re.compile(r"^check failed \(call seed (\d+)\)", re.MULTILINE)
 
 
 def parse_args(argv):
@@ -62,7 +67,11 @@ def parse_args(argv):
 
 
 def run_once(tree, workload, seed, seconds):
-    """The result object of one benchmark run in ``tree``, or None if it failed."""
+    """The result object of one benchmark run in ``tree``, or None if it failed.
+
+    The call seeds of its failed checks, in order and without repeats, are
+    added to the result as ``failed_call_seeds``.
+    """
     command = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds)]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
@@ -71,7 +80,10 @@ def run_once(tree, workload, seed, seconds):
         print(f"run failed in {tree} (seed {seed}, exit {done.returncode}):\n{done.stderr}",
               file=sys.stderr)
         return None
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["failed_call_seeds"] = list(dict.fromkeys(
+        int(found) for found in _FAILED_CHECK.findall(done.stderr)))
+    return result
 
 
 def quartiles(values):
@@ -123,6 +135,11 @@ def report(pairs, metrics, out):
             values = [metric(results[side], name) for side in SIDES]
             cells.append(f"{name} {values[0]!r}/{values[1]!r}")
         print(f"seed {seed} ({first} first): " + "; ".join(cells), file=out)
+        failed = {side: results[side].get("failed_call_seeds") for side in SIDES}
+        if any(failed.values()):
+            sides = [f"{side} " + (" ".join(map(str, seeds)) if seeds else "none")
+                     for side, seeds in failed.items()]
+            print(f"seed {seed} failed call seeds: " + "; ".join(sides), file=out)
     totals = {side: [sum(results[side][key] for _, _, results in pairs)
                      for key in ("attempted", "failed")] for side in SIDES}
     shares = {side: failed / max(attempted, 1) for side, (attempted, failed) in totals.items()}

@@ -10,10 +10,12 @@ in the text, and for binary files only that they differ.  A CSV or text
 file whose non-numeric content differs is reported as a structural
 difference.  Verdict lines (a line holding the word ``pass`` or ``FAIL``)
 are compared word for word, and every pair whose verdict words differ is
-listed.
+listed.  In ``config_resolved.cfg`` the echoed ``out = <dir>`` line names
+the output directory itself and is left out of the comparison.
 
-Exit status: 0 when every file is byte-identical, 1 when anything differs,
-2 on a usage error.  Only the standard library is used.
+Exit status: 0 when every file is byte-identical (a resolved config apart
+from its ``out`` line), 1 when anything differs, 2 on a usage error.  Only
+the standard library is used.
 """
 
 import csv
@@ -26,6 +28,8 @@ from pathlib import Path
 # A decimal or scientific number, or a special float value as repr writes it.
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|inf|nan)")
 _VERDICT = re.compile(r"\b(pass|FAIL)\b")
+# The echoed output directory in a resolved config.
+_OUT_LINE = re.compile(rb"^out = .*(?:\r?\n|$)", re.MULTILINE)
 
 
 def relative_change(a, b):
@@ -86,6 +90,12 @@ def verdict_changes(parent_text, change_text):
     return changes
 
 
+def _read(root, name):
+    """The bytes of a file, without the ``out`` line of a resolved config."""
+    raw = (root / name).read_bytes()
+    return _OUT_LINE.sub(b"", raw) if Path(name).name == "config_resolved.cfg" else raw
+
+
 def _files(root):
     return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
 
@@ -99,8 +109,7 @@ def diff_trees(parent_dir, change_dir, out=sys.stdout):
     lines = []
     verdicts = []
     for name in common:
-        raw_b = (parent_dir / name).read_bytes()
-        raw_a = (change_dir / name).read_bytes()
+        raw_b, raw_a = _read(parent_dir, name), _read(change_dir, name)
         if raw_a == raw_b:
             identical += 1
             continue
