@@ -172,15 +172,6 @@ class MismatchedPrior(Prior):
         # offset is constant so the constant carries over exactly.
         return self.base.lipschitz(sigma)
 
-    def affine_parts(self, sigma, shape):
-        if self.mode != "fixed":
-            return None
-        parts = self.base.affine_parts(sigma, shape)
-        if parts is None:
-            return None
-        apply_w, apply_wt, offset = parts
-        return apply_w, apply_wt, offset + self.offset(np.zeros(shape), sigma)
-
 
 def perturb_prior(base, epsilon, mode="fixed", direction_seed=0):
     return MismatchedPrior(base, epsilon, mode=mode, direction_seed=direction_seed)

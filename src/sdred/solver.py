@@ -116,25 +116,19 @@ def _real_matrix(fid):
     return isinstance(fid.op, MatrixOperator) and np.isrealobj(fid.op.mat)
 
 
-def affine_residual(problem, use_mismatched=False):
+def affine_residual(problem):
     """Dense (K, h) with G(x) = K x - h, or None when G is not matrix-affine.
 
     G is matrix-affine when the fidelity operator is a real
-    :class:`MatrixOperator` and the prior (the mismatched one when
-    requested) has ``affine_parts`` D(x) = W x + b.  Then
-    K = A^T A + tau*(I - W) and h = A^T y + tau*b, with column j of W
-    taken as W applied to the j-th unit vector.
+    :class:`MatrixOperator` and the true prior has ``affine_parts``
+    D(x) = W x + b.  Then K = A^T A + tau*(I - W) and h = A^T y + tau*b,
+    with column j of W taken as W applied to the j-th unit vector.
     """
     fid = problem.fidelity
     if not _real_matrix(fid):
         return None
-    prior = problem.prior
-    if use_mismatched:
-        if problem.mismatched is None:
-            raise ValueError("problem has no mismatched prior attached")
-        prior = problem.mismatched
     shape = fid.op.input_shape
-    parts = prior.affine_parts(problem.sigma, shape)
+    parts = problem.prior.affine_parts(problem.sigma, shape)
     if parts is None:
         return None
     apply_w, _, offset = parts
@@ -145,7 +139,7 @@ def affine_residual(problem, use_mismatched=False):
 
 
 def _affine_step(matrix, offset, x, out):
-    """out = matrix @ x + offset: one step of a matrix-affine SD-RED run."""
+    """out = matrix @ x + offset: the precomposed part of a matrix-stepper step."""
     matrix.dot(x, out)  # the method skips np.dot's dispatch, about half its cost at n = 8
     out += offset
 
@@ -217,79 +211,62 @@ def _matrix_objectives(fid, objective, x):
 # an objective) of the rows ``rec``.
 
 
-class _AffineStepper:
-    """A matrix-affine problem: G-hat(x) = K-hat x - h-hat exactly.
-
-    A step is x <- (I - gamma*K-hat) x + gamma*h-hat, one matrix product and
-    one add; G and G-hat of a block's recorded rows are one product each.
-    """
-
-    def __init__(self, problem, config, xs, rows, dense, dense_hat):
-        self.fid, self.objective = problem.fidelity, config.objective
-        self.xs, self.rows, self.dense = xs, rows, dense
-        self.dense_hat = dense_hat if problem.mismatched is not None else None
-        self.matrix = np.eye(xs[0].size) - config.gamma * dense_hat[0]
-        self.offset = config.gamma * dense_hat[1]
-
-    def step(self, i, k):
-        _affine_step(self.matrix, self.offset, self.rows[i], self.rows[i + 1])
-
-    def finish(self, i):
-        pass
-
-    def block(self, rec):
-        x = self.xs[rec]
-        (k_mat, h), g_hat = self.dense, None
-        if self.dense_hat is not None:
-            k_hat, h_hat = self.dense_hat
-            g_hat = x @ k_hat.T - h_hat
-        return x @ k_mat.T - h, g_hat, _matrix_objectives(self.fid, self.objective, x)
-
-
-class _DenseStepper:
+class _MatrixStepper:
     """A real matrix fidelity with any prior, mismatched by none or by a
-    fixed-mode offset around it.
+    fixed-mode offset u around it (u = 0 without a mismatch).
 
-    With Q = A^T A, c = A^T y and the offset u (zero without a mismatch),
-    a step is x <- P x + b + gamma*tau*D(x) with P = (1 - gamma*tau) I -
-    gamma*Q and b = gamma*(c + tau*u): one prior call, one matrix product
-    and three vector operations.  The rows of ``ds`` keep gamma*tau*D(x),
-    the term the step adds, so G of a block's recorded rows is
-    X (Q + tau*I)^T - c - tau*D, one product, and G-hat = G - tau*u.
+    With K = A^T A + tau*I and c = A^T y, a step is x <- (I - gamma*K) x +
+    gamma*(c + tau*u) + gamma*tau*D(x): one precomposed matrix product and
+    one add, then one prior call and one more add.  An affine prior
+    D(x) = W x + b is folded into the setup instead, K <- K - tau*W and
+    c <- c + tau*b (the (K, h) of :func:`affine_residual`), so its step is
+    the product and the add alone.  For any other prior the rows of ``ds``
+    keep gamma*tau*D(x), the term the step adds.  G of a block's recorded
+    rows is then X K^T - c, less tau*D for a prior that is not affine: one
+    product.  G-hat = G - tau*u.
     """
 
     def __init__(self, problem, config, xs, rows):
         fid, mismatched = problem.fidelity, problem.mismatched
         tau, gamma = problem.tau, config.gamma
-        mat = fid.op.mat
+        eye = np.eye(xs[0].size)
         self.fid, self.objective = fid, config.objective
-        self.apply, self.sigma = problem.prior.apply, problem.sigma
-        self.gamma, self.scale = gamma, gamma * tau
-        self.kmat = mat.T @ mat + tau * np.eye(mat.shape[1])
-        self.c = fid.adjoint_image()
+        self.xs, self.rows, self.gamma = xs, rows, gamma
         self.tau_offset = None
         if mismatched is not None:
             self.tau_offset = tau * mismatched.offset(xs[0], problem.sigma)
-        self.step_matrix = np.eye(mat.shape[1]) - gamma * self.kmat
+        dense = affine_residual(problem)
+        self.ds = None  # gamma*tau*D of each row, for a prior that is not affine
+        if dense is None:
+            mat = fid.op.mat
+            self.kmat, self.c = mat.T @ mat + tau * eye, fid.adjoint_image()
+            self.apply, self.sigma, self.scale = problem.prior.apply, problem.sigma, gamma * tau
+            self.ds = np.empty(xs.shape)
+        else:
+            self.kmat, self.c = dense
+        self.step_matrix = eye - gamma * self.kmat
         self.step_offset = gamma * (self.c if self.tau_offset is None else self.c + self.tau_offset)
-        self.xs, self.rows = xs, rows
-        self.ds = np.empty(xs.shape)  # gamma*tau*D of each row
 
     def step(self, i, k):
-        x, d, out = self.rows[i], self.ds[i], self.rows[i + 1]
+        x, out = self.rows[i], self.rows[i + 1]
+        if self.ds is None:
+            _affine_step(self.step_matrix, self.step_offset, x, out)
+            return
+        d = self.ds[i]
         np.multiply(self.apply(x, self.sigma), self.scale, out=d)
-        self.step_matrix.dot(x, out)
-        out += self.step_offset
+        _affine_step(self.step_matrix, self.step_offset, x, out)
         out += d
 
     def finish(self, i):
-        np.multiply(self.apply(self.rows[i], self.sigma), self.scale, out=self.ds[i])
+        if self.ds is not None:
+            np.multiply(self.apply(self.rows[i], self.sigma), self.scale, out=self.ds[i])
 
     def block(self, rec):
         x = self.xs[rec]
         g = x @ self.kmat.T
         g -= self.c
-        g -= self.ds[rec] / self.gamma
+        if self.ds is not None:
+            g -= self.ds[rec] / self.gamma
         g_hat = None if self.tau_offset is None else g - self.tau_offset
         return g, g_hat, _matrix_objectives(self.fid, self.objective, x)
 
@@ -362,19 +339,16 @@ class _GenericStepper:
 
 
 def _stepper(problem, config, xs, rows):
-    """The stepper of a problem: matrix-affine, dense-fidelity or generic."""
+    """The stepper of a problem: the matrix stepper for a real matrix fidelity
+    with no mismatch or a fixed-mode one around the true prior, else the
+    generic one."""
     fid, mismatched = problem.fidelity, problem.mismatched
     if not _real_matrix(fid):
         return _GenericStepper(problem, config, xs, rows)
     _check_shape("run_sd_red x0", xs[0], fid.op.input_shape)
-    dense = affine_residual(problem)
-    if dense is not None:
-        dense_hat = dense if mismatched is None else affine_residual(problem, use_mismatched=True)
-        if dense_hat is not None:
-            return _AffineStepper(problem, config, xs, rows, dense, dense_hat)
     if mismatched is None or (isinstance(mismatched, MismatchedPrior)
                               and mismatched.base is problem.prior and mismatched.mode == "fixed"):
-        return _DenseStepper(problem, config, xs, rows)
+        return _MatrixStepper(problem, config, xs, rows)
     return _GenericStepper(problem, config, xs, rows)
 
 
@@ -404,20 +378,18 @@ def run_sd_red(problem, config):
     when ``config.tol`` is positive and the relative change drops below it.
     Non-finite iterates abort with :class:`DivergenceError` at once.
 
-    The loop is a recorder around one of three steppers, each of which
+    The loop is a recorder around one of two steppers, each of which
     writes the next iterate from the current one and gives G, G-hat and the
     objective of a block's recorded iterates:
 
-    * matrix-affine, when :func:`affine_residual` gives the dense parts of
-      both residuals (a real matrix fidelity with an affine prior, and a
-      mismatched prior that is absent or affine too): one precomposed map
-      (I - gamma*K-hat) x + gamma*h-hat per step;
-    * dense-fidelity, for any other prior on a real matrix fidelity, with
-      no mismatch or a fixed-mode one around the true prior: one prior call
-      and one precomposed matrix product per step;
-    * generic, for everything else (Fourier operators, hashed or separate
-      mismatched priors): G, and G-hat, at every iterate with the
-      arithmetic of :func:`residual`, and the step x - gamma*G-hat(x).
+    * matrix, for any prior on a real matrix fidelity, with no mismatch or
+      a fixed-mode one around the true prior: one precomposed matrix
+      product per step, into which an affine prior is folded (see
+      :func:`affine_residual`); any other prior adds one prior call;
+    * generic, for everything else (Fourier operators, hashed mismatches,
+      and mismatches around a prior other than the true one): G, and
+      G-hat, at every iterate with the arithmetic of :func:`residual`, and
+      the step x - gamma*G-hat(x).
 
     The steppers agree to rounding; each is deterministic.  The recorder
     keeps iterates in the rows of a block buffer of about ``BLOCK_FLOATS``
@@ -595,6 +567,12 @@ def reference_zero(problem, tol=1e-12, max_iters=100000, gamma=None):
     with ``gamma`` the default step unless given.  The returned point is
     validated against the fixed-point residual
     ||G(x*)|| <= 1e-9 * (1 + ||G(x0)||).
+
+    The conjugate-gradient branch stays for affine priors on operators with
+    no dense matrix, such as the Gaussian prior of ``recon-gaussian-prior``
+    sweeps on Fourier sampling (the linear families solve the dense (K, h)
+    of :func:`affine_residual` instead); moving it to the Anderson solve
+    would shift those references by about 1e-12.
 
     Zer(G) need not be a single point: TV under Fourier undersampling leaves
     directions that neither the data nor the prior pin down.  The result is

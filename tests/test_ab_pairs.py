@@ -17,7 +17,8 @@ import ab_pairs  # noqa: E402
 # a rate that the change beats except at seed 12, and a constant peak RSS.
 # The change doubles an iteration rate that varies little from run to run,
 # and its set-up takes twice as long.  From seed 50 on, the parent reports
-# failed checks on standard error as perfbench/run.py does, at even seeds.
+# failed checks on standard error as perfbench/run.py does, at even seeds;
+# from seed 70 on, the change reports failing instances by their seeds.
 STUB = """
 import json, sys
 from pathlib import Path
@@ -35,6 +36,11 @@ print("progress line")
 if tree.name == "parent" and seed >= 50 and seed % 2 == 0:
     for call in (seed * 1000, seed * 1000 + 50, seed * 1000):
         print(f"check failed (call seed {call}): instance FAIL", file=sys.stderr)
+if tree.name == "change" and seed >= 70:
+    for call, instance in [(seed * 1000, seed * 1000 + 7), (seed * 1000, seed * 1000 + 30),
+                           (seed * 1000, seed * 1000 + 7), (seed * 1000 + 50, None)]:
+        problem = "exit status 1: ..." if instance is None else f"instance seed {instance} did not pass"
+        print(f"check failed (call seed {call}): {problem}", file=sys.stderr)
 print(json.dumps({"correct": True, "attempted": 5, "failed": int(tree.name == "parent"),
                   "metrics": {"instances_per_s": {"value": rate, "unit": "1/s"},
                               "peak_rss_mb": {"value": 40.0, "unit": "MB"},
@@ -107,6 +113,16 @@ def test_failed_call_seeds_per_pair_and_side(tmp_path):
     assert lines[3].startswith("seed 52 (parent first): ")
     assert lines[4] == "seed 52 failed call seeds: parent 52000 52050; change none"
     assert lines[5].startswith("instances_per_s (higher is better): ")
+
+
+def test_failing_instance_seeds_follow_their_call_seed(tmp_path):
+    trees = make_trees(tmp_path)
+    out = io.StringIO()
+    argv = trees + ["--workload", "w", "--pairs", "1", "--seconds", "1", "--seed0", "70"]
+    assert ab_pairs.main(argv, out=out) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[1] == ("seed 70 failed call seeds: parent 70000 70050; "
+                        "change 70000 (70007 70030) 70050")
 
 
 def test_verdict_per_metric_with_a_bound(tmp_path):

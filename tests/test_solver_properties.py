@@ -223,9 +223,27 @@ def test_run_started_at_ground_truth_matches_reference_loop(mismatch):
     assert_same(got, want)
 
 
+@settings(max_examples=50, deadline=None)
+@given(family=st.sampled_from(["linear", "gaussian"]),
+       mismatch=st.sampled_from([None, "fixed", "hashed"]), seed=st.integers(0, 2**32 - 1))
+def test_affine_residual_agrees_with_residual(family, mismatch, seed):
+    """K x - h is the true-prior residual G(x) at random x, whatever the mismatch."""
+    problem, _, _ = build(family, mismatch, seed, with_objective=False)
+    k_mat, h = solver.affine_residual(problem)
+    for x in np.random.default_rng(seed).standard_normal((3, k_mat.shape[1])):
+        want = residual(problem, x)
+        assert np.abs(k_mat @ x - h - want).max() <= TOL * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("family", ["l1", "l1-wide", "tv", "gaussian-2d"])
+def test_affine_residual_is_none_for_other_priors_and_fourier_operators(family):
+    problem, _, _ = build(family, None, seed=4, with_objective=False)
+    assert solver.affine_residual(problem) is None
+
+
 def count_steps(problem, monkeypatch):
-    """Counts, from now on, of the precomposed steps of the matrix-affine
-    stepper ("affine"), of the true prior's evaluations ("prior") and of the
+    """Counts, from now on, of the precomposed steps of the matrix stepper
+    ("affine"), of the true prior's evaluations ("prior") and of the
     fidelity operator's forward calls ("forward")."""
     calls = {"affine": 0, "prior": 0, "forward": 0}
 
@@ -243,26 +261,25 @@ def count_steps(problem, monkeypatch):
 
 
 def stepper_of(family, mismatch):
-    """The stepper run_sd_red takes: "affine" for a dense matrix with an affine
-    prior, "dense" for a dense matrix with the l1 prox, each without a hashed
-    mismatch and the l1 prox also without a separate one, else "generic"."""
-    if mismatch == "hashed" or family in ("tv", "gaussian-2d"):
+    """The stepper run_sd_red takes: "matrix" for a dense matrix without a
+    hashed or separate mismatch, else "generic"."""
+    if mismatch in ("hashed", "separate") or family in ("tv", "gaussian-2d"):
         return "generic"
-    if family in ("linear", "gaussian"):
-        return "affine"
-    return "generic" if mismatch == "separate" else "dense"
+    return "matrix"
 
 
-def step_counts(stepper, steps, final_record):
+def step_counts(stepper, family, steps, final_record):
     """The expected counts of :func:`count_steps` after ``steps`` steps.
 
-    The affine stepper calls neither the prior nor the operator; the others
-    evaluate the prior once per step and once more when ``final_record``,
-    and only the generic one evaluates A x once each time too."""
-    if stepper == "affine":
-        return {"affine": steps, "prior": 0, "forward": 0}
+    The matrix stepper takes one precomposed step per step and never calls
+    the operator; it evaluates a prior that is not affine once per step and
+    once more when ``final_record``.  The generic stepper evaluates the
+    prior and A x that often."""
     prior = steps + final_record
-    return {"affine": 0, "prior": prior, "forward": prior if stepper == "generic" else 0}
+    if stepper == "generic":
+        return {"affine": 0, "prior": prior, "forward": prior}
+    affine = family in ("linear", "gaussian")
+    return {"affine": steps, "prior": 0 if affine else prior, "forward": 0}
 
 
 @pytest.mark.parametrize("family", ["linear", "l1", "tv"])
@@ -280,7 +297,7 @@ def test_divergence_index_matches_reference_loop(family, mismatch, monkeypatch):
         got = outcome(run_sd_red, problem, config)
         assert_same(got, want)
         # One step each: no step runs past the first non-finite iterate.
-        expected = step_counts(stepper_of(family, mismatch), got.iteration, False)
+        expected = step_counts(stepper_of(family, mismatch), family, got.iteration, False)
         assert calls == expected, block_floats
 
 
@@ -309,7 +326,17 @@ def test_run_ends_beside_a_block_edge(family, ending, offset, monkeypatch):
     assert_same(outcome(run_sd_red, problem, config), want)
     # One step each, and no step after a stop; the steppers that call the
     # prior evaluate it once more for the final record of a stop.
-    assert calls == step_counts(stepper_of(family, "fixed"), d, ending == "tolerance")
+    assert calls == step_counts(stepper_of(family, "fixed"), family, d, ending == "tolerance")
+
+
+def check_path(stepper, family, mismatch, seed, monkeypatch):
+    """A 30-step run matches the reference loop with the step counts of ``stepper``."""
+    problem, objective, truth = build(family, mismatch, seed, with_objective=True)
+    config = make_config(problem, objective, truth, iters=30, stride=4, tol=0.0)
+    want = outcome(reference_run, problem, config)
+    calls = count_steps(problem, monkeypatch)
+    assert_same(outcome(run_sd_red, problem, config), want)
+    assert calls == step_counts(stepper, family, 30, True)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -318,24 +345,17 @@ def test_run_ends_beside_a_block_edge(family, ending, offset, monkeypatch):
     ("gaussian", None), ("gaussian", "fixed"), ("gaussian", "separate"),
 ])
 def test_matrix_affine_problems_take_the_affine_path(family, mismatch, seed, monkeypatch):
-    problem, objective, truth = build(family, mismatch, seed, with_objective=True)
-    config = make_config(problem, objective, truth, iters=30, stride=4, tol=0.0)
-    want = outcome(reference_run, problem, config)
-    calls = count_steps(problem, monkeypatch)
-    assert_same(outcome(run_sd_red, problem, config), want)
-    assert calls == step_counts("affine", 30, True)
+    """The matrix stepper folds an affine prior into its step: no prior calls.
+    A separate mismatch wraps a distinct prior, so it takes the generic path."""
+    check_path(stepper_of(family, mismatch), family, mismatch, seed, monkeypatch)
 
 
 @pytest.mark.parametrize("family, mismatch", [
     ("l1", None), ("l1", "fixed"), ("l1-wide", None), ("l1-wide", "fixed"),
 ])
 def test_other_priors_on_a_matrix_take_the_dense_path(family, mismatch, monkeypatch):
-    problem, objective, truth = build(family, mismatch, seed=4, with_objective=True)
-    config = make_config(problem, objective, truth, iters=30, stride=4, tol=0.0)
-    want = outcome(reference_run, problem, config)
-    calls = count_steps(problem, monkeypatch)
-    assert_same(outcome(run_sd_red, problem, config), want)
-    assert calls == step_counts("dense", 30, True)
+    """The matrix stepper adds one prior call to each step of any other prior."""
+    check_path("matrix", family, mismatch, 4, monkeypatch)
 
 
 @pytest.mark.parametrize("family, mismatch", [
@@ -343,16 +363,13 @@ def test_other_priors_on_a_matrix_take_the_dense_path(family, mismatch, monkeypa
     ("tv", "fixed"), ("gaussian-2d", None), ("gaussian-2d", "fixed"),
 ])
 def test_other_problems_take_the_generic_path(family, mismatch, monkeypatch):
-    problem, objective, truth = build(family, mismatch, seed=4, with_objective=True)
-    config = make_config(problem, objective, truth, iters=30, stride=4, tol=0.0)
-    want = outcome(reference_run, problem, config)
-    calls = count_steps(problem, monkeypatch)
-    assert_same(outcome(run_sd_red, problem, config), want)
-    assert calls == step_counts("generic", 30, True)
+    check_path("generic", family, mismatch, 4, monkeypatch)
 
 
 @pytest.mark.parametrize("seed, violation", [
     (202000148, 3.392e-4), (501000163, 3.206e-3), (504000330, 8.856e-4),
+    (402000179, 3.0695e-3), (900000022, 1.1763e-2), (803000229, 5.8942e-4),
+    (9569, 1.1033e-2), (9003000032, 2.3964e-2),
 ])
 def test_known_theorem4_failures_keep_their_violation(seed, violation):
     """verify-prox instances that fail Theorem 4 (ROADMAP item 1) fail by the

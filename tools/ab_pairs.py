@@ -10,7 +10,9 @@ both sides.  The last JSON line a run prints is its result.
 
 The report gives one line per pair with each end-to-end metric as
 parent/change, followed, when a run's checks failed, by a line with the
-call seeds of its ``check failed (call seed ...)`` lines per side; then
+call seeds of its ``check failed (call seed ...)`` lines per side, each
+followed by the seeds of the instances that "did not pass" in that call,
+in parentheses, where the check names them; then
 per metric each side's median and quartiles and the pairs the change won,
 a win being strictly better in the ``better`` direction that
 ``BENCHMARK.json`` (read from CHANGE_DIR) gives the metric.
@@ -43,8 +45,10 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-# A failed check as perfbench/run.py reports it on standard error.
-_FAILED_CHECK = re.compile(r"^check failed \(call seed (\d+)\)", re.MULTILINE)
+# A failed check as perfbench/run.py reports it on standard error, with the
+# instance seed when the check names a failing instance.
+_FAILED_CHECK = re.compile(
+    r"^check failed \(call seed (\d+)\)(?:: instance seed (\d+) did not pass)?", re.MULTILINE)
 
 
 def parse_args(argv):
@@ -69,8 +73,9 @@ def parse_args(argv):
 def run_once(tree, workload, seed, seconds):
     """The result object of one benchmark run in ``tree``, or None if it failed.
 
-    The call seeds of its failed checks, in order and without repeats, are
-    added to the result as ``failed_call_seeds``.
+    Its failed checks are added to the result as ``failed_calls``, a dict
+    from each call seed, in order, to the failing instance seeds its checks
+    name, in order and without repeats.
     """
     command = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds)]
@@ -81,8 +86,11 @@ def run_once(tree, workload, seed, seconds):
               file=sys.stderr)
         return None
     result = json.loads(lines[-1])
-    result["failed_call_seeds"] = list(dict.fromkeys(
-        int(found) for found in _FAILED_CHECK.findall(done.stderr)))
+    failed = result["failed_calls"] = {}
+    for call, instance in _FAILED_CHECK.findall(done.stderr):
+        instances = failed.setdefault(int(call), [])
+        if instance and int(instance) not in instances:
+            instances.append(int(instance))
     return result
 
 
@@ -123,6 +131,12 @@ def verdict(parent, change, better, bound, more_failed=False):
     return "no worse"
 
 
+def _failed_calls(result):
+    """Each failed call seed of a run, then its failing instance seeds in parentheses."""
+    return [f"{call} ({' '.join(map(str, instances))})" if instances else str(call)
+            for call, instances in result.get("failed_calls", {}).items()]
+
+
 def report(pairs, metrics, out):
     """Write the comparison of ``pairs``, a list of (seed, first side, {side: result}).
 
@@ -135,10 +149,10 @@ def report(pairs, metrics, out):
             values = [metric(results[side], name) for side in SIDES]
             cells.append(f"{name} {values[0]!r}/{values[1]!r}")
         print(f"seed {seed} ({first} first): " + "; ".join(cells), file=out)
-        failed = {side: results[side].get("failed_call_seeds") for side in SIDES}
+        failed = {side: _failed_calls(results[side]) for side in SIDES}
         if any(failed.values()):
-            sides = [f"{side} " + (" ".join(map(str, seeds)) if seeds else "none")
-                     for side, seeds in failed.items()]
+            sides = [f"{side} " + (" ".join(calls) if calls else "none")
+                     for side, calls in failed.items()]
             print(f"seed {seed} failed call seeds: " + "; ".join(sides), file=out)
     totals = {side: [sum(results[side][key] for _, _, results in pairs)
                      for key in ("attempted", "failed")] for side in SIDES}
