@@ -113,6 +113,15 @@ def _str_cells(values):
 
 
 def _repr_cells(values):
+    """repr of each value of a float column.
+
+    A chunk whose values all equal a nonzero first value, as the rows of a
+    run held at a fixed point do, takes one repr: equal nonzero binary64
+    values share one encoding, where 0.0 == -0.0 do not.
+    """
+    first = values[0] if values else 0.0
+    if first and values.count(first) == len(values):
+        return [repr(first)] * len(values)
     return list(map(repr, values))
 
 

@@ -67,6 +67,10 @@ class Regularizer:
     def value(self, x):
         raise NotImplementedError
 
+    def values(self, xs):
+        """h at each row ``xs[j]`` of a stack of arrays, as a float array."""
+        return np.array([self.value(x) for x in xs], dtype=float)
+
     def prox(self, z, mu):
         raise NotImplementedError
 
@@ -84,6 +88,13 @@ class L1Norm(Regularizer):
 
     def value(self, x):
         return self.weight * float(np.add.reduce(np.abs(x), axis=None))
+
+    def values(self, xs):
+        # The row sums of a C-contiguous (rows, n) array take the pairwise
+        # summation of each 1-D row, so a vector row's value is bitwise value(row).
+        xs = np.asarray(xs)
+        rows = np.abs(xs).reshape(len(xs), math.prod(xs.shape[1:]))
+        return self.weight * np.add.reduce(rows, axis=1)
 
     def prox(self, z, mu):
         if mu < 0:

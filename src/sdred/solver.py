@@ -138,6 +138,11 @@ def affine_residual(problem):
     return mat.T @ mat + problem.tau * (eye - w), fid.adjoint_image() + problem.tau * offset
 
 
+def _same_bits(a, b):
+    """Whether two arrays hold the same bytes; unlike ==, -0.0 and 0.0 differ."""
+    return a.tobytes() == b.tobytes()
+
+
 def _affine_step(matrix, offset, x, out):
     """out = matrix @ x + offset: the precomposed part of a matrix-stepper step."""
     matrix.dot(x, out)  # the method skips np.dot's dispatch, about half its cost at n = 8
@@ -199,7 +204,7 @@ def _matrix_objectives(fid, objective, x):
     if objective is None:
         return [None] * len(x)
     halves = 0.5 * _row_sq_norms(x @ fid.op.mat.T - fid.y)
-    return [half + objective.value(row) for half, row in zip(halves.tolist(), x)]
+    return (halves + objective.values(x)).tolist()
 
 
 # A stepper runs the steps of one kind of problem over the rows of the
@@ -208,7 +213,10 @@ def _matrix_objectives(fid, objective, x):
 # ``step(i, k)`` writes row i + 1 from row i, which holds iterate k;
 # ``finish(i)`` readies row i for the final record; ``block(rec)`` gives G,
 # G-hat (None without a mismatched prior) and the objectives (None without
-# an objective) of the rows ``rec``.
+# an objective) of the rows ``rec``.  ``hold(i, k)`` is called once the step
+# from row i returned its input bit for bit; from then on ``fill(i, k, m)``
+# gives rows i..i+m-1, iterates k..k+m-1, the per-row data of the held
+# iterate without stepping, and ``finish`` does the same for the final row.
 
 
 class _MatrixStepper:
@@ -246,6 +254,7 @@ class _MatrixStepper:
             self.kmat, self.c = dense
         self.step_matrix = eye - gamma * self.kmat
         self.step_offset = gamma * (self.c if self.tau_offset is None else self.c + self.tau_offset)
+        self.held_d = None  # the held iterate's row of ds
 
     def step(self, i, k):
         x, out = self.rows[i], self.rows[i + 1]
@@ -257,9 +266,21 @@ class _MatrixStepper:
         _affine_step(self.step_matrix, self.step_offset, x, out)
         out += d
 
-    def finish(self, i):
+    def hold(self, i, k):
         if self.ds is not None:
+            self.held_d = self.ds[i].copy()
+
+    def fill(self, i, k, m):
+        if self.ds is not None:
+            self.ds[i:i + m] = self.held_d
+
+    def finish(self, i):
+        if self.ds is None:
+            return
+        if self.held_d is None:
             np.multiply(self.apply(self.rows[i], self.sigma), self.scale, out=self.ds[i])
+        else:
+            self.ds[i] = self.held_d
 
     def block(self, rec):
         x = self.xs[rec]
@@ -287,6 +308,7 @@ class _GenericStepper:
         self.gs = np.empty(xs.shape)  # the block's true-prior residuals
         self.hs = np.empty(xs.shape) if self.use_hat else self.gs  # the ones it steps by
         self.objectives = []  # of the block's recorded iterates, in order
+        self.held = None  # G, G-hat and the objective of the held iterate
         # The mismatch wrapper shares the base denoiser evaluation, so the
         # true residual plus the known offset gives the mismatched residual
         # for free.  A fixed-mode offset does not depend on the iterate:
@@ -330,8 +352,32 @@ class _GenericStepper:
         np.multiply(self.hs[i], self.gamma, out=out)
         np.subtract(x, out, out=out)
 
+    def hold(self, i, k):
+        # Step k recorded the objective at this iterate already, if it was
+        # recorded; else it is evaluated here, once.
+        obj = None
+        if self.objective is not None:
+            if k % self.stride == 0:
+                obj = self.objectives[-1]
+            else:
+                xk = self.rows[i]
+                obj = self.problem.fidelity.value(xk) + self.objective.value(xk)
+        self.held = self.gs[i].copy(), self.hs[i].copy(), obj
+
+    def fill(self, i, k, m):
+        g, g_hat, obj = self.held
+        self.gs[i:i + m] = g
+        self.hs[i:i + m] = g_hat
+        self.objectives += [obj] * len(range(-k % self.stride, m, self.stride))
+
     def finish(self, i):
-        self.objectives.append(self._residuals(i, True))
+        if self.held is None:
+            self.objectives.append(self._residuals(i, True))
+            return
+        g, g_hat, obj = self.held
+        self.gs[i] = g
+        self.hs[i] = g_hat
+        self.objectives.append(obj)
 
     def block(self, rec):
         objectives, self.objectives = self.objectives, []
@@ -373,10 +419,17 @@ def run_sd_red(problem, config):
 
     Starts from the adjoint image A^H y unless ``config.x0`` overrides it.
     Records every ``record_stride`` iterations plus the final iterate; the
-    objective, squared residual norms and PSNR are computed only there, the
+    objective (g plus ``config.objective``, a
+    :class:`~sdred.objectives.Regularizer` h), squared residual norms and
+    PSNR are computed only there, the
     distance to ``x_ref`` at every iterate (for ``r_max``).  Stops early only
     when ``config.tol`` is positive and the relative change drops below it.
-    Non-finite iterates abort with :class:`DivergenceError` at once.
+    Non-finite iterates abort with :class:`DivergenceError` at once.  With
+    ``tol`` zero, a run that reaches an exact fixed point (a step returns its
+    input bit for bit) takes no more steps: each step is a deterministic
+    function of the iterate's bits, so the remaining rows are filled from the
+    held iterate and its residuals and record exactly what stepping would
+    have, and ``stopped_at`` stays ``max_iters``.
 
     The loop is a recorder around one of two steppers, each of which
     writes the next iterate from the current one and gives G, G-hat and the
@@ -398,7 +451,8 @@ def run_sd_red(problem, config):
     depend on the block size.  Finiteness is tested per step through x.x,
     which is finite exactly when x is unless the entries of a finite x pass
     about 1e154; only then (with numpy's overflow warning) is every entry
-    tested.
+    tested.  The same x.x finds a fixed point: the bytes of two iterates are
+    compared only when their x.x are equal.
     """
     _warn_on_step_size(problem, config.gamma)
     tol, stride = config.tol, config.record_stride
@@ -451,6 +505,7 @@ def run_sd_red(problem, config):
     step = stepper.step
     k0 = i = 0  # the iterate at the block's row 0, and the current row
     stopped_at = config.max_iters
+    sq = flat[0].dot(flat[0])  # x.x of the current iterate
     for k in range(config.max_iters):
         if i == rows:
             roll(k0)
@@ -458,13 +513,28 @@ def run_sd_red(problem, config):
         step(i, k)
         i += 1
         v = flat[i]
-        if not math.isfinite(v.dot(v)) and not np.isfinite(v).all():
+        last, sq = sq, v.dot(v)
+        if not math.isfinite(sq) and not np.isfinite(v).all():
             raise DivergenceError(k + 1)
         if tol > 0.0:
             x = views[i - 1]
             if _norm(views[i] - x) / max(_norm(x), 1.0) < tol:
                 stopped_at = k + 1
                 break
+        elif sq == last and _same_bits(v, flat[i - 1]):
+            # An exact fixed point: every later step would repeat these bits.
+            stepper.hold(i - 1, k)
+            k += 1
+            while k < stopped_at:
+                if i == rows:
+                    roll(k0)
+                    k0, i = k, 0
+                m = min(rows - i, stopped_at - k)
+                xs[i + 1:i + 1 + m] = xs[i]
+                stepper.fill(i, k, m)
+                i += m
+                k += m
+            break
 
     if i == rows:
         roll(k0)

@@ -289,9 +289,25 @@ def test_bound_report_writer_matches_csv_writer(tmp_path_factory, data, start):
     assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
 
 
+# Columns of float runs, which the writer may format once per 64-row chunk:
+# runs crossing the chunk edges, 0.0 and -0.0 (equal, with different reprs),
+# one NaN object repeated and distinct NaNs, infinities, and values one ulp
+# apart.
+_NAN = math.nan
+_RUNS = {
+    "nonzero-runs": [2.5] * 70 + [-7e-300] * 80,
+    "zero-runs": [0.0] * 64 + [-0.0] * 64 + [0.0, -0.0] * 11,
+    "nan-runs": [_NAN] * 64 + [float("nan") for _ in range(64)] + [_NAN, 1.0] * 11,
+    "inf-runs": [math.inf] * 100 + [-math.inf] * 28 + [math.inf, -math.inf] * 11,
+    "ulp-runs": [1.0] * 40 + [1.0 + 2.0**-52] + [1.0] * 109,
+}
+
+
 def _column_of(kind, n, rng):
     """A trace column of one kind; "mixed" interleaves floats, numpy scalars,
     integers and None."""
+    if kind in _RUNS:
+        return _RUNS[kind][:n]
     values = (rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)).tolist()
     if kind == "floats":
         return values
@@ -309,6 +325,7 @@ def _column_of(kind, n, rng):
     ("floats",) * 5, ("none",) * 5, ("numpy",) * 5, ("inf-nan",) * 5, ("mixed",) * 5,
     ("floats", "none", "inf-nan", "numpy", "mixed"),
     ("mixed", "floats", "none", "none", "inf-nan"),
+    tuple(_RUNS),
 ])
 def test_trace_writer_matches_csv_writer_per_column_kind(tmp_path, kinds, n):
     """Each column's cell format is chosen once; the bytes stay the row-by-row

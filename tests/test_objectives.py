@@ -116,6 +116,21 @@ class TestL1:
     def test_eval(self):
         assert L1Norm(2.0).value(np.array([1.0, -2.0])) == 6.0
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 64, 129])
+    def test_row_values_are_bitwise_per_row_values(self, n):
+        """One row sum per row adds each row as value() does, block edge
+        cases (no rows, a strided slice) included."""
+        rng = np.random.default_rng(n)
+        xs = rng.standard_normal((40, n)) * 10.0 ** rng.integers(-5, 5, (40, 1))
+        reg = L1Norm(0.17)
+        for block in (xs, xs[::3], xs[:0]):
+            assert reg.values(block).tolist() == [reg.value(row) for row in block]
+
+    def test_default_row_values_loop_over_rows(self):
+        images = np.random.default_rng(2).standard_normal((3, 4, 5))
+        reg = AnisotropicTV(0.3)
+        assert reg.values(images).tolist() == [reg.value(image) for image in images]
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             L1Norm(-1.0)

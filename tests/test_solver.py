@@ -3,7 +3,7 @@ import pytest
 
 from sdred import solver
 from sdred.metrics import psnr
-from sdred.objectives import DataFidelity, L1Norm, moreau_envelope
+from sdred.objectives import DataFidelity, L1Norm, Regularizer, moreau_envelope
 from sdred.operators import MatrixOperator
 from sdred.priors import GaussianMapPrior, LinearPrior, ProximalPrior, perturb_prior
 from sdred.solver import (
@@ -136,7 +136,7 @@ class TestRunSdRed:
     def test_objective_and_psnr_only_at_recorded_iterates(self, monkeypatch):
         counts = {"objective": 0, "psnr": 0}
 
-        class CountingObjective:
+        class CountingObjective(Regularizer):
             def value(self, x):
                 counts["objective"] += 1
                 return 0.0

@@ -268,16 +268,19 @@ def stepper_of(family, mismatch):
     return "matrix"
 
 
-def step_counts(stepper, family, steps, final_record):
+def step_counts(stepper, family, steps, final_record, held_objective=False):
     """The expected counts of :func:`count_steps` after ``steps`` steps.
 
     The matrix stepper takes one precomposed step per step and never calls
     the operator; it evaluates a prior that is not affine once per step and
     once more when ``final_record``.  The generic stepper evaluates the
-    prior and A x that often."""
+    prior and A x that often.  A run held at a fixed point counts the steps
+    up to the one that returned its input and has no final prior call; the
+    generic stepper evaluates A x once more for the held objective when
+    that step was not recorded (``held_objective``)."""
     prior = steps + final_record
     if stepper == "generic":
-        return {"affine": 0, "prior": prior, "forward": prior}
+        return {"affine": 0, "prior": prior, "forward": prior + held_objective}
     affine = family in ("linear", "gaussian")
     return {"affine": steps, "prior": 0 if affine else prior, "forward": 0}
 
@@ -341,13 +344,11 @@ def check_path(stepper, family, mismatch, seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("family, mismatch", [
-    ("linear", None), ("linear", "fixed"), ("linear", "separate"),
-    ("gaussian", None), ("gaussian", "fixed"), ("gaussian", "separate"),
+    ("linear", None), ("linear", "fixed"), ("gaussian", None), ("gaussian", "fixed"),
 ])
 def test_matrix_affine_problems_take_the_affine_path(family, mismatch, seed, monkeypatch):
-    """The matrix stepper folds an affine prior into its step: no prior calls.
-    A separate mismatch wraps a distinct prior, so it takes the generic path."""
-    check_path(stepper_of(family, mismatch), family, mismatch, seed, monkeypatch)
+    """The matrix stepper folds an affine prior into its step: no prior calls."""
+    check_path("matrix", family, mismatch, seed, monkeypatch)
 
 
 @pytest.mark.parametrize("family, mismatch", [
@@ -358,12 +359,107 @@ def test_other_priors_on_a_matrix_take_the_dense_path(family, mismatch, monkeypa
     check_path("matrix", family, mismatch, 4, monkeypatch)
 
 
-@pytest.mark.parametrize("family, mismatch", [
-    ("linear", "hashed"), ("gaussian", "hashed"), ("l1", "hashed"), ("l1", "separate"),
-    ("tv", "fixed"), ("gaussian-2d", None), ("gaussian-2d", "fixed"),
+@pytest.mark.parametrize("family, mismatch, seed", [
+    *(pytest.param(family, mismatch, 4, id=f"{family}-{mismatch}") for family, mismatch in [
+        ("linear", "hashed"), ("gaussian", "hashed"), ("l1", "hashed"), ("l1", "separate"),
+        ("tv", "fixed"), ("gaussian-2d", None), ("gaussian-2d", "fixed"),
+    ]),
+    *((family, "separate", seed) for family in ("linear", "gaussian") for seed in (0, 1, 2)),
 ])
-def test_other_problems_take_the_generic_path(family, mismatch, monkeypatch):
-    check_path("generic", family, mismatch, 4, monkeypatch)
+def test_other_problems_take_the_generic_path(family, mismatch, seed, monkeypatch):
+    """A separate mismatch wraps a prior other than the true one, so even an
+    affine one takes the generic path."""
+    check_path("generic", family, mismatch, seed, monkeypatch)
+
+
+def spy_holds(monkeypatch):
+    """The steps k, from now on, whose step returned its input bit for bit
+    (the ``hold`` calls of either stepper)."""
+    holds = []
+    for cls in (solver._MatrixStepper, solver._GenericStepper):
+        def spy(self, i, k, hold=cls.hold):
+            holds.append(k)
+            hold(self, i, k)
+        monkeypatch.setattr(cls, "hold", spy)
+    return holds
+
+
+def assert_identical(got, want):
+    """Two traces agree bit for bit: repr tells -0.0 from 0.0 and keeps every digit."""
+    for name in ("iters", "g_norm_sq", "g_hat_norm_sq", "objective", "dist_to_ref", "psnr",
+                 "r0", "r_max", "stopped_at"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    assert got.final.tobytes() == want.final.tobytes()
+
+
+def step_through(monkeypatch):
+    """From now on, run_sd_red never sees a fixed point and takes every step."""
+    monkeypatch.setattr(solver, "_same_bits", lambda a, b: False)
+
+
+# A seed per family and mismatch whose run reaches an exact fixed point in
+# 200-1300 steps.  A hashed offset moves with every bit of the iterate, so a
+# hashed mismatch holds only at epsilon = 0; its runs below take that value.
+HOLDING_SEEDS = {
+    ("linear", None): 5, ("linear", "fixed"): 5, ("linear", "hashed"): 5,
+    ("linear", "separate"): 5, ("l1", None): 11, ("l1", "fixed"): 11, ("l1", "hashed"): 11,
+    ("l1", "separate"): 11, ("l1-wide", None): 0, ("l1-wide", "fixed"): 0,
+    ("l1-wide", "hashed"): 0, ("l1-wide", "separate"): 0, ("gaussian", None): 0,
+    ("gaussian", "fixed"): 0, ("gaussian", "hashed"): 0, ("gaussian", "separate"): 0,
+    ("gaussian-2d", None): 4, ("gaussian-2d", "fixed"): 4, ("gaussian-2d", "hashed"): 4,
+    ("gaussian-2d", "separate"): 0,
+}
+
+
+@pytest.mark.parametrize("offset, stride", [(-1, 1), (0, 3), (1, 7)],
+                         ids=["after-1", "on-3", "before-7"])
+@pytest.mark.parametrize("family, mismatch", list(HOLDING_SEEDS))
+def test_held_run_records_the_bytes_of_stepping_through(family, mismatch, offset, stride,
+                                                        monkeypatch):
+    """A run held at an exact fixed point records, bit for bit, what a run
+    that steps to max_iters records, and takes no step or prior call after
+    the hold.  With d the first held iterate, blocks of d - 1, d and d + 1
+    rows put it just after, on and just before a block edge, and the filled
+    rows cross the next edge."""
+    problem, objective, truth = build(family, mismatch, HOLDING_SEEDS[family, mismatch], True)
+    if mismatch == "hashed":
+        problem.mismatched.epsilon = 0.0
+    holds = spy_holds(monkeypatch)
+    config = make_config(problem, objective, truth, 1500, stride, 0.0)
+    run_sd_red(problem, config)
+    (k,) = holds
+    d = k + 1
+    config.max_iters = 2 * d + offset + 4
+    monkeypatch.setattr(solver, "BLOCK_FLOATS", (d + offset) * truth.size)
+    calls = count_steps(problem, monkeypatch)
+    holds.clear()
+    got = run_sd_red(problem, config)
+    assert holds == [k]
+    assert calls == step_counts(stepper_of(family, mismatch), family, d, False,
+                                held_objective=k % stride != 0)
+    step_through(monkeypatch)
+    assert_identical(got, run_sd_red(problem, config))
+    assert holds == [k]
+
+
+@pytest.mark.parametrize("family, mismatch", [
+    *(("tv", mismatch) for mismatch in (None, "fixed", "hashed", "separate")),
+    *((family, "hashed") for family in ("linear", "l1", "l1-wide", "gaussian", "gaussian-2d")),
+])
+def test_runs_that_never_hold_take_every_step(family, mismatch, monkeypatch):
+    """The problems missing from HOLDING_SEEDS reach no exact fixed point:
+    none of seeds 0-5 held within 3000 steps (nor seeds 0-3 of TV without
+    or with a fixed mismatch within 20000).  Such a run takes every step and
+    records what stepping through records."""
+    problem, objective, truth = build(family, mismatch, 3, True)
+    config = make_config(problem, objective, truth, 200, 3, 0.0)
+    holds = spy_holds(monkeypatch)
+    calls = count_steps(problem, monkeypatch)
+    got = run_sd_red(problem, config)
+    assert holds == []
+    assert calls == step_counts(stepper_of(family, mismatch), family, config.max_iters, True)
+    step_through(monkeypatch)
+    assert_identical(got, run_sd_red(problem, config))
 
 
 @pytest.mark.parametrize("seed, violation", [
