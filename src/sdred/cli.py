@@ -233,64 +233,56 @@ def cmd_prior_distance(cfg, out_dir):
     return EXIT_OK
 
 
+def _solve(cfg, inst):
+    """An instance's trace, and the keywords every bound check of it takes."""
+    c = inst.constants
+    keywords = dict(L=c["L"], tau=c["tau"], gamma=c["gamma"], sigma=c["sigma"],
+                    epsilon=c["epsilon"], bound_scale=cfg["debug_bound_scale"])
+    return run_sd_red(inst.problem, inst.config), keywords
+
+
+def _verify_linear(cfg, seed):
+    inst = make_linear_contraction_instance(
+        seed, n_max=cfg["n_max"], lam_range=(cfg["lam_min"], cfg["lam_max"]),
+        eps_range=(cfg["eps_min"], cfg["eps_max"]), t=cfg["iters"],
+    )
+    trace, keywords = _solve(cfg, inst)
+    lam = inst.constants["lambda"]
+    return [("thm1", verify_theorem1_trace(trace, lam=lam, slack=cfg["slack"], **keywords))]
+
+
+def _verify_prox(cfg, seed):
+    inst = make_prox_l1_instance(
+        seed, n_max=cfg["n_max"], eps_range=(cfg["eps_min"], cfg["eps_max"]),
+        t=cfg["iters"], sigma_fixed=cfg["sigma"] if cfg["sigma"] > 0 else None,
+    )
+    trace, keywords = _solve(cfg, inst)
+    _, f_star = prox_gradient_reference(
+        inst.problem.fidelity, inst.problem.prior.reg, max_iters=cfg["fstar_iters"]
+    )
+    S = inst.constants["S"]
+    return [
+        ("thm2", verify_theorem2_trace(trace, slack=cfg["slack"], **keywords)),
+        ("thm4", verify_theorem4_trace(trace, f_star, S=S, slack=cfg["slack_thm4"], **keywords)),
+    ]
+
+
+# A verify-bounds kind maps (cfg, instance seed) to the instance's named
+# bound reports; each is written to bound_<name>_seed<s>.csv.
+_VERIFY_KINDS = {"linear-theory": _verify_linear, "prox-prior-theory": _verify_prox}
+
+
 def cmd_verify_bounds(cfg, out_dir):
-    all_passed = True
+    verify = _VERIFY_KINDS[cfg["kind"]]
     failing_seeds = []
-    if cfg["kind"] == "linear-theory":
-        for i in range(cfg["instances"]):
-            inst = make_linear_contraction_instance(
-                cfg["seed"] + i,
-                n_max=cfg["n_max"],
-                lam_range=(cfg["lam_min"], cfg["lam_max"]),
-                eps_range=(cfg["eps_min"], cfg["eps_max"]),
-                t=cfg["iters"],
-            )
-            trace = run_sd_red(inst.problem, inst.config)
-            c = inst.constants
-            report = verify_theorem1_trace(
-                trace, lam=c["lambda"], L=c["L"], tau=c["tau"], gamma=c["gamma"],
-                sigma=c["sigma"], epsilon=c["epsilon"], slack=cfg["slack"],
-                bound_scale=cfg["debug_bound_scale"],
-            )
-            write_bound_report_csv(out_dir / f"bound_thm1_seed{inst.seed}.csv", report)
-            print(f"seed {inst.seed}: {report.summary()}")
-            if not report.passed:
-                all_passed = False
-                failing_seeds.append(inst.seed)
-    else:
-        sigma_fixed = cfg["sigma"] if cfg["sigma"] > 0 else None
-        if sigma_fixed is None and cfg["tau"] > 0:
-            sigma_fixed = 1.0 / math.sqrt(cfg["tau"])
-        for i in range(cfg["instances"]):
-            inst = make_prox_l1_instance(
-                cfg["seed"] + i,
-                n_max=cfg["n_max"],
-                eps_range=(cfg["eps_min"], cfg["eps_max"]),
-                t=cfg["iters"],
-                sigma_fixed=sigma_fixed,
-            )
-            trace = run_sd_red(inst.problem, inst.config)
-            c = inst.constants
-            report2 = verify_theorem2_trace(
-                trace, L=c["L"], tau=c["tau"], gamma=c["gamma"], sigma=c["sigma"],
-                epsilon=c["epsilon"], slack=cfg["slack"], bound_scale=cfg["debug_bound_scale"],
-            )
-            _, f_star = prox_gradient_reference(
-                inst.problem.fidelity, inst.problem.prior.reg, max_iters=cfg["fstar_iters"]
-            )
-            report4 = verify_theorem4_trace(
-                trace, f_star, L=c["L"], tau=c["tau"], gamma=c["gamma"], sigma=c["sigma"],
-                epsilon=c["epsilon"], S=c["S"], slack=cfg["slack_thm4"],
-                bound_scale=cfg["debug_bound_scale"],
-            )
-            write_bound_report_csv(out_dir / f"bound_thm2_seed{inst.seed}.csv", report2)
-            write_bound_report_csv(out_dir / f"bound_thm4_seed{inst.seed}.csv", report4)
-            print(f"seed {inst.seed}: {report2.summary()}")
-            print(f"seed {inst.seed}: {report4.summary()}")
-            if not (report2.passed and report4.passed):
-                all_passed = False
-                failing_seeds.append(inst.seed)
-    if not all_passed:
+    for seed in range(cfg["seed"], cfg["seed"] + cfg["instances"]):
+        reports = verify(cfg, seed)
+        for name, report in reports:
+            write_bound_report_csv(out_dir / f"bound_{name}_seed{seed}.csv", report)
+            print(f"seed {seed}: {report.summary()}")
+        if not all(report.passed for _, report in reports):
+            failing_seeds.append(seed)
+    if failing_seeds:
         print(f"bound verification FAILED for seeds: {failing_seeds}", file=sys.stderr)
         return EXIT_VERIFY
     print("all bound verifications passed")

@@ -98,9 +98,12 @@ _DISTANCE = {
 # Prior Lipschitz constants of the linear family: the contraction theory needs them in (0, 1).
 _CONTRACTION_KEYS = ("lam", "lam_min", "lam_max")
 
-# Least values of the counts of a verify-bounds run, and its (low, high)
-# ranges: below them a run verifies nothing or its instance draws fail.
-_VERIFY_MINIMUMS = {"instances": 1, "iters": 1, "n_max": 2, "fstar_iters": 1, "eps_min": 0.0}
+# Least values of the counts of a verify-bounds run and of its sigma, and its
+# (low, high) ranges: below them a run verifies nothing, its instance draws
+# fail, or (sigma) it draws sigma in place of the value given.
+_VERIFY_MINIMUMS = {
+    "instances": 1, "iters": 1, "n_max": 2, "fstar_iters": 1, "eps_min": 0.0, "sigma": 0.0,
+}
 _VERIFY_RANGES = (("eps_min", "eps_max"), ("lam_min", "lam_max"))
 
 
@@ -145,8 +148,7 @@ SCHEMAS = {
             "n_max": (_int, 64),
             "eps_min": (_float, 0.0),
             "eps_max": (_float, 0.5),
-            "tau": (_float, 0.0),
-            "sigma": (_float, 0.0),
+            "sigma": (_float, 0.0),  # 0 means: draw sigma per instance; tau = 1/sigma^2
             "slack": (_float, 1e-9),
             "slack_thm4": (_float, 1e-8),
             "fstar_iters": (_int, 50000),
@@ -242,12 +244,6 @@ def resolve(text, command):
                 raise ConfigError(
                     f"key {low!r}: {resolved[low]!r} exceeds {high!r} = {resolved[high]!r}"
                 )
-    if kind == "prox-prior-theory":
-        tau, sigma = resolved["tau"], resolved["sigma"]
-        if tau > 0 and sigma > 0 and abs(tau * sigma**2 - 1.0) > 1e-12:
-            raise ConfigError(
-                f"prox-prior-theory requires tau = 1/sigma^2; got tau*sigma^2 = {tau * sigma**2}"
-            )
     return resolved
 
 

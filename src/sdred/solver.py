@@ -471,12 +471,14 @@ def run_sd_red(problem, config):
     def flush(k0, m, final):
         # Rows 0..m-1 hold iterates k0..k0+m-1, and row m the final iterate
         # when ``final``; every row counts towards r_max.
-        rec = list(range(-k0 % stride, m, stride))
+        first = -k0 % stride
+        rec = list(range(first, m, stride))
+        trace.iters.extend(range(k0 + first, k0 + m, stride))
         if final:
             rec.append(m)
+            trace.iters.append(k0 + m)
             m += 1
         count = len(rec)
-        trace.iters.extend(k0 + r for r in rec)
         g, g_hat, objectives = stepper.block(rec)
         trace.g_norm_sq.extend(_row_sq_norms(g).tolist())
         trace.g_hat_norm_sq.extend([None] * count if g_hat is None

@@ -78,7 +78,8 @@ def test_alternating_pairs_and_report(tmp_path):
     assert lines[1].startswith("seed 11 (change first): ")
     assert lines[4] == ("instances_per_s (higher is better): "
                         "parent median 11.5 [q1 10.25, q3 12.75], "
-                        "change median 12 [q1 11.25, q3 13.5]; change won 3 of 4")
+                        "change median 12 [q1 11.25, q3 13.5]; "
+                        "paired ratio median 1.08392 [1, 1.1] (87.5%); change won 3 of 4")
     assert lines[5].endswith("; change won 0 of 4")
     assert lines[6] == "cells_per_s: not reported"
     assert lines[7:] == ["parent: attempted 20, failed 4", "change: attempted 20, failed 0"]
@@ -190,3 +191,40 @@ def test_no_gain_when_the_change_fails_a_larger_share():
         out = io.StringIO()
         ab_pairs.report(pairs(extra), {"rate": ("higher", 0.25)}, out)
         assert f"; change won 10 of 10; verdict: {expected}" in out.getvalue()
+
+
+def test_paired_ratio_sees_a_gain_that_host_drift_hides():
+    # Every pair 1.3x faster while the parent drifts 2x across the pairs: the
+    # parent's quartiles spread wider than the medians' gap, so the verdict
+    # stays unresolved, but every paired ratio lies above 1.
+    parent = [10.0 * 2 ** (i / 9) for i in range(10)]
+    change = [1.3 * p for p in parent]
+    assert ab_pairs.verdict(parent, change, "higher", 0.25) == "unresolved"
+    low, high, coverage = ab_pairs.median_interval(
+        ab_pairs.paired_ratios(parent, change, "higher"))
+    assert 1.0 < low <= high and round(coverage, 4) == round(1 - 22 / 1024, 4)
+    pairs = [(seed, "parent", {side: {"attempted": 1, "failed": 0,
+                                      "metrics": {"rate": {"value": value}}}
+                               for side, value in (("parent", p), ("change", c))})
+             for seed, (p, c) in enumerate(zip(parent, change))]
+    out = io.StringIO()
+    ab_pairs.report(pairs, {"rate": ("higher", 0.25)}, out)
+    assert ("; paired ratio median 1.3 [1.3, 1.3] (97.9%); change won 10 of 10; "
+            "verdict: unresolved") in out.getvalue()
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (6, 1), (10, 2), (20, 6)])
+def test_median_interval_takes_the_widest_95_percent_order_statistics(n, k):
+    low, high, coverage = ab_pairs.median_interval(list(range(n, 0, -1)))
+    assert (low, high) == (k, n + 1 - k)
+    assert coverage >= 0.95 or k == 1
+
+
+def test_lower_is_better_ratio_and_no_ratio_for_a_zero():
+    assert ab_pairs.paired_ratios([2.0, 3.0], [1.0, 6.0], "lower") == [2.0, 0.5]
+    pairs = [(0, "parent", {side: {"attempted": 1, "failed": 0,
+                                   "metrics": {"s": {"value": value}}}
+                            for side, value in (("parent", 0.0), ("change", 1.0))})]
+    out = io.StringIO()
+    ab_pairs.report(pairs, {"s": ("lower", None)}, out)
+    assert "paired ratio" not in out.getvalue()

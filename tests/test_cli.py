@@ -6,8 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sdred import cli
 from sdred.cli import main
+from sdred.config import SCHEMAS
 from sdred.io import read_tensor, read_trace_csv
+from sdred.theory import BoundReport
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -176,11 +179,36 @@ class TestVerifyBoundsCommand:
         assert len(list(out.glob("bound_thm2_seed*.csv"))) == 2
         assert len(list(out.glob("bound_thm4_seed*.csv"))) == 2
 
-    def test_inconsistent_coupling_exits_2(self, tmp_path):
+    def test_tau_key_exits_2_as_unknown(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path, "kind = prox-prior-theory\ntau = 2.0\nsigma = 1.0\n"
         )
         assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key 'tau'" in capsys.readouterr().err
+
+    def test_kinds_are_the_table_entries(self):
+        assert set(cli._VERIFY_KINDS) == set(SCHEMAS["verify-bounds"])
+
+    def test_a_kind_is_one_table_entry_of_named_reports(self, tmp_path, capsys, monkeypatch):
+        def report(name, measured):
+            return BoundReport(name, iters=[0, 1], measured=[0.0, measured],
+                               bounds=[1.0, 1.0]).finish()
+
+        def fake(cfg, seed):  # "odd" fails at odd seeds
+            return [("ok", report("ok", 0.5)), ("odd", report("odd", 2.0 if seed % 2 else 0.5))]
+
+        monkeypatch.setitem(cli._VERIFY_KINDS, "fake", fake)
+        assert cli.cmd_verify_bounds({"kind": "fake", "seed": 4, "instances": 3}, tmp_path) == 1
+        assert sorted(path.name for path in tmp_path.glob("bound_*.csv")) == [
+            f"bound_{name}_seed{seed}.csv" for name in ("odd", "ok") for seed in (4, 5, 6)
+        ]
+        out, err = capsys.readouterr()
+        assert [line.split()[:4] for line in out.splitlines()] == [
+            ["seed", f"{seed}:", word, f"{name}:"]
+            for seed, words in ((4, "pass pass"), (5, "pass FAIL"), (6, "pass pass"))
+            for name, word in zip(("ok", "odd"), words.split())
+        ]
+        assert err == "bound verification FAILED for seeds: [5]\n"
 
     def test_lambda_above_one_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "kind = linear-theory\ninstances = 3\nlam_max = 1.5\n")

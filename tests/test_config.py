@@ -59,15 +59,11 @@ class TestResolve:
         with pytest.raises(ConfigError, match="num_lines"):
             resolve("kind = recon-tv\nnum_lines = many\n", "recon")
 
-    def test_prox_theory_coupling_rejected(self):
-        text = "kind = prox-prior-theory\ntau = 2.0\nsigma = 1.0\n"
-        with pytest.raises(ConfigError, match="tau"):
-            resolve(text, "verify-bounds")
-
-    def test_prox_theory_consistent_coupling_accepted(self):
+    def test_prox_theory_tau_key_rejected_as_unknown(self):
+        # tau = 1/sigma^2 follows from sigma, so sigma is the one key for both.
         text = "kind = prox-prior-theory\ntau = 4.0\nsigma = 0.5\n"
-        cfg = resolve(text, "verify-bounds")
-        assert cfg["tau"] == 4.0
+        with pytest.raises(ConfigError, match="unknown key 'tau'"):
+            resolve(text, "verify-bounds")
 
     def test_mismatch_mode_choice(self):
         with pytest.raises(ConfigError, match="fixed"):
@@ -102,6 +98,8 @@ class TestResolve:
             ("prox-prior-theory", "eps_min = 0.6", "eps_min"),
             ("linear-theory", "eps_min = -0.1", "eps_min"),
             ("linear-theory", "lam_min = 0.8\nlam_max = 0.3", "lam_min"),
+            ("prox-prior-theory", "sigma = -1", "sigma"),
+            ("prox-prior-theory", "sigma = nan", "sigma"),
         ],
     )
     def test_verify_counts_and_ranges_that_verify_nothing_name_key(self, kind, line, key):

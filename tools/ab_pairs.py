@@ -13,9 +13,15 @@ parent/change, followed, when a run's checks failed, by a line with the
 call seeds of its ``check failed (call seed ...)`` lines per side, each
 followed by the seeds of the instances that "did not pass" in that call,
 in parentheses, where the check names them; then
-per metric each side's median and quartiles and the pairs the change won,
-a win being strictly better in the ``better`` direction that
-``BENCHMARK.json`` (read from CHANGE_DIR) gives the metric.
+per metric each side's median and quartiles, the median of the per-pair
+ratios with a distribution-free interval for it, and the pairs the change
+won, a win being strictly better in the ``better`` direction that
+``BENCHMARK.json`` (read from CHANGE_DIR) gives the metric.  A pair's ratio
+is change/parent, or parent/change where lower is better, so above 1
+favours the change; it is given only when every value is positive and
+finite.  The interval and its printed coverage are those of
+``median_interval`` (the 2nd and 9th smallest of 10 ratios: 97.9%).  No
+verdict reads the ratios.
 A metric is read as ``metrics[name]["value"]``.  Each metric line that
 ``BENCHMARK.json`` gives a relative ``bound`` ends with a verdict, tested
 in this order:
@@ -38,6 +44,7 @@ standard library is used.
 
 import argparse
 import json
+import math
 import re
 import statistics
 import subprocess
@@ -111,6 +118,31 @@ def won(change, parent, better):
     return change > parent if better == "higher" else change < parent
 
 
+def paired_ratios(parent, change, better):
+    """Each pair's ratio, oriented so that above 1 favours the change."""
+    return [c / p if better == "higher" else p / c for p, c in zip(parent, change)]
+
+
+def median_interval(values):
+    """(low, high, coverage): order statistics around the median of ``values``.
+
+    The k-th smallest and the k-th largest of n values cover the median of
+    their distribution with probability 1 - 2 P(Binomial(n, 1/2) < k),
+    whatever the distribution; k is the largest whose coverage is at least
+    95%, and 1 when none reaches it (below 6 values).
+    """
+    n = len(values)
+    ordered = sorted(values)
+
+    def coverage(k):
+        return 1.0 - 2.0 * sum(math.comb(n, i) for i in range(k)) / 2**n
+
+    k = 1
+    while coverage(k + 1) >= 0.95:
+        k += 1
+    return ordered[k - 1], ordered[n - k], coverage(k)
+
+
 def verdict(parent, change, better, bound, more_failed=False):
     """``gain``, ``worse``, ``unresolved`` or ``no worse`` for paired runs of one metric.
 
@@ -170,8 +202,14 @@ def report(pairs, metrics, out):
         for side, values in zip(SIDES, (parent, change)):
             q1, median, q3 = quartiles(values)
             sides.append(f"{side} median {median:.6g} [q1 {q1:.6g}, q3 {q3:.6g}]")
+        paired = ""
+        if all(0.0 < value < math.inf for value in parent + change):
+            ratios = paired_ratios(parent, change, better)
+            low, high, coverage = median_interval(ratios)
+            paired = (f"; paired ratio median {statistics.median(ratios):.6g} "
+                      f"[{low:.6g}, {high:.6g}] ({100 * coverage:.1f}%)")
         wins = sum(won(c, p, better) for p, c in both)
-        line = (f"{name} ({better} is better): " + ", ".join(sides)
+        line = (f"{name} ({better} is better): " + ", ".join(sides) + paired
                 + f"; change won {wins} of {len(both)}")
         if bound is not None:
             line += "; verdict: " + verdict(parent, change, better, bound, more_failed)
