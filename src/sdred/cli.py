@@ -76,9 +76,7 @@ def _prior(cfg):
 
 
 def _perturbed(prior, cfg):
-    return perturb_prior(
-        prior, cfg["epsilon"], mode=cfg["mismatch_mode"], direction_seed=cfg["seed"]
-    )
+    return perturb_prior(prior, cfg["epsilon"], direction_seed=cfg["seed"])
 
 
 def _g_ratio(trace):

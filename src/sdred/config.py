@@ -5,6 +5,8 @@ Unknown keys are rejected, required keys must be present, and every command
 echoes its fully resolved configuration into the output directory.
 """
 
+import math
+
 
 class ConfigError(Exception):
     """Configuration problem: maps to exit status 2 in the CLI."""
@@ -52,7 +54,8 @@ _COMMON = {
     "out": (_str, ""),
 }
 
-_MISMATCH_MODE = (_choice("fixed", "hashed"), "fixed")
+# One value: a mismatch is a fixed offset of norm sigma*epsilon.
+_MISMATCH_MODE = (_choice("fixed"), "fixed")
 
 _RECON_BASE = {
     **_COMMON,
@@ -98,13 +101,38 @@ _DISTANCE = {
 # Prior Lipschitz constants of the linear family: the contraction theory needs them in (0, 1).
 _CONTRACTION_KEYS = ("lam", "lam_min", "lam_max")
 
-# Least values of the counts of a verify-bounds run and of its sigma, and its
-# (low, high) ranges: below them a run verifies nothing, its instance draws
-# fail, or (sigma) it draws sigma in place of the value given.
-_VERIFY_MINIMUMS = {
-    "instances": 1, "iters": 1, "n_max": 2, "fstar_iters": 1, "eps_min": 0.0, "sigma": 0.0,
+# The least positive float: a key whose least value it is must exceed 0.
+_POSITIVE = math.ulp(0.0)
+
+# Least values of the numeric keys, checked on every entry of a list, keyed by
+# the key or, where one command's least differs, by (command, key).  Below
+# them a run fails, verifies nothing, or its instance draws fail.  At 0,
+# gamma takes half the applicable theorem threshold, epsilon means no
+# mismatch and verify-bounds sigma draws sigma per instance.  Every numeric
+# value, in the table or not, must be finite.
+_MINIMUMS = {
+    "seed": 0, "size": 32, ("prior-distance", "size"): 1, "num_lines": 1, "coils": 0,
+    "tau": _POSITIVE, "sigma": _POSITIVE, ("verify-bounds", "sigma"): 0.0, "gamma": 0.0,
+    "iters": 1, "tolerance": 0.0, "epsilon": 0.0, "record_stride": 1,
+    "tv_weight": _POSITIVE, "inner_iters": 1, "inner_tol": 0.0,
+    "prior_variance": _POSITIVE, "compare_variance": 0.0,
+    "tau_grid": _POSITIVE, "sigma_grid": _POSITIVE, "epsilon_grid": 0.0,
+    "n": 1, "instances": 1, "n_max": 2, "fstar_iters": 1, "eps_min": 0.0,
+    "slack": 0.0, "slack_thm4": 0.0, "debug_bound_scale": 0.0,
+    "test_points": 1, "z_points": 1, "density_points": 5,
 }
-_VERIFY_RANGES = (("eps_min", "eps_max"), ("lam_min", "lam_max"))
+# (low, high) key pairs whose low may not exceed their high.
+_RANGES = (("eps_min", "eps_max"), ("lam_min", "lam_max"))
+
+
+def _check_value(command, key, value):
+    least = _MINIMUMS.get((command, key), _MINIMUMS.get(key))
+    for item in value if isinstance(value, list) else [value]:
+        if isinstance(item, float) and not math.isfinite(item):
+            raise ConfigError(f"key {key!r}: expected a finite value, got {item!r}")
+        if least is not None and not item >= least:
+            expected = "a positive value" if least == _POSITIVE else f"at least {least!r}"
+            raise ConfigError(f"key {key!r}: expected {expected}, got {item!r}")
 
 
 def _swept(schema):
@@ -231,19 +259,17 @@ def resolve(text, command):
         if default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
         resolved[key] = default
+    for key, value in resolved.items():
+        if not isinstance(value, str):
+            _check_value(command, key, value)
     for key in _CONTRACTION_KEYS:
         if key in resolved and not 0.0 < resolved[key] < 1.0:
             raise ConfigError(f"key {key!r}: expected a value in (0, 1), got {resolved[key]!r}")
-    if command == "verify-bounds":
-        for key, least in _VERIFY_MINIMUMS.items():
-            value = resolved.get(key, least)
-            if not value >= least:
-                raise ConfigError(f"key {key!r}: expected at least {least!r}, got {value!r}")
-        for low, high in _VERIFY_RANGES:
-            if low in resolved and not resolved[low] <= resolved[high]:
-                raise ConfigError(
-                    f"key {low!r}: {resolved[low]!r} exceeds {high!r} = {resolved[high]!r}"
-                )
+    for low, high in _RANGES:
+        if low in resolved and not resolved[low] <= resolved[high]:
+            raise ConfigError(
+                f"key {low!r}: {resolved[low]!r} exceeds {high!r} = {resolved[high]!r}"
+            )
     return resolved
 
 

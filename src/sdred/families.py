@@ -95,7 +95,7 @@ def make_linear_sweep_cell(base, tau, sigma, epsilon, t):
     """
     prior, L = base["prior"], base["L"]
     fid = DataFidelity(base["op"], base["y"], lipschitz=L)
-    mismatched = perturb_prior(prior, epsilon, mode="fixed", direction_seed=base["seed"])
+    mismatched = perturb_prior(prior, epsilon, direction_seed=base["seed"])
     problem = Problem(fidelity=fid, prior=prior, tau=tau, sigma=sigma, mismatched=mismatched)
     gamma = default_gamma(base["lam"], L, tau)
     x_ref = np.linalg.solve(*affine_residual(problem))
@@ -151,7 +151,7 @@ def make_prox_l1_instance(
     fid = DataFidelity(op, y, lipschitz=L)
     reg = L1Norm(weight)
     prior = ProximalPrior(reg)
-    mismatched = perturb_prior(prior, epsilon, mode="fixed", direction_seed=seed)
+    mismatched = perturb_prior(prior, epsilon, direction_seed=seed)
     problem = Problem(fidelity=fid, prior=prior, tau=tau, sigma=sigma, mismatched=mismatched)
 
     gamma = default_gamma(prior.lipschitz(sigma), L, tau)

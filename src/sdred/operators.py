@@ -181,6 +181,14 @@ class CoilOperator(LinearOperator):
         super().__init__(mask.shape, (sens.shape[0],) + mask.shape)
         self.mask = mask
         self.sensitivities = sens
+        # sqrt(max over pixels of sum_i |S_i|^2), or 0 for an empty mask: an
+        # upper bound, so L = ||A||^2 is certified rather than estimated.  P F
+        # is a contraction, so ||A x||^2 <= sum_i ||S_i x||^2, which is at most
+        # max sum_i |S_i|^2 times ||x||^2.  It is exact for a full mask and a
+        # constant sum_i |S_i|^2; for gaussian_coil_maps it is 1, which power
+        # iteration approaches from below.
+        energy = (np.abs(sens) ** 2).sum(axis=0)
+        self._norm_cache = math.sqrt(float(energy.max())) if mask.sampling_ratio > 0 else 0.0
 
     def _forward(self, x):
         coil_images = self.sensitivities * x[None, :, :]

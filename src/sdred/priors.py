@@ -6,7 +6,6 @@ offset of exactly sigma*epsilon, so the mismatch constant is known by
 construction rather than estimated from a trained network.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -109,57 +108,43 @@ class LinearPrior(Prior):
         return apply_w, apply_wt, self.offset.copy()
 
 
-def _hashed_seed(x):
-    digest = hashlib.blake2b(np.ascontiguousarray(x).tobytes(), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
-
-
 class MismatchedPrior(Prior):
-    """Base prior plus an offset of norm exactly sigma*epsilon.
+    """Base prior plus a fixed offset of norm exactly sigma*epsilon.
 
-    ``mode='fixed'`` uses one unit direction for every input (the distance
-    bound is saturated with a constant direction); ``mode='hashed'`` derives
-    the unit direction deterministically from a 64-bit hash of the input
-    bytes, so the bound stays saturated while the direction varies.
+    The offset's unit direction is drawn once from ``direction_seed`` and is
+    the same for every input, so the distance bound is saturated everywhere.
+    ``mode`` accepts only ``"fixed"``.  A mismatch that varies with x is
+    another prior passed as the mismatched one, such as the same family at a
+    shifted parameter.
     """
 
     def __init__(self, base, epsilon, mode="fixed", direction_seed=0):
         if epsilon < 0:
             raise ValueError("mismatch epsilon must be nonnegative")
-        if mode not in ("fixed", "hashed"):
+        if mode != "fixed":
             raise ValueError(f"unknown mismatch mode {mode!r}")
         self.base = base
         self.epsilon = float(epsilon)
-        self.mode = mode
         self.direction_seed = int(direction_seed)
-        self._fixed_offsets = {}
-
-    def _unit_direction(self, x):
-        seed = self.direction_seed if self.mode == "fixed" else _hashed_seed(x)
-        rng = np.random.default_rng(seed)
-        u = rng.standard_normal(np.shape(x) if np.shape(x) else (1,))
-        return u / np.linalg.norm(u)
+        self._offsets = {}
 
     def offset(self, x, sigma):
-        """The offset at x, of norm sigma*epsilon.
+        """The offset, of norm sigma*epsilon.
 
-        In fixed mode it depends on x only through its shape, so it is built
-        once per (shape, sigma) and returned read-only.
+        It depends on x only through its shape, so it is built once per
+        (shape, sigma) and returned read-only.
         """
-        if self.mode == "hashed":
-            return self._build_offset(x, sigma)
-        key = (np.shape(x), sigma)
-        off = self._fixed_offsets.get(key)
+        shape = np.shape(x)
+        off = self._offsets.get((shape, sigma))
         if off is None:
-            off = self._build_offset(x, sigma)
+            if self.epsilon == 0.0:
+                off = np.zeros(shape)
+            else:
+                u = np.random.default_rng(self.direction_seed).standard_normal(shape or (1,))
+                off = (sigma * self.epsilon) * (u / np.linalg.norm(u)).reshape(shape)
             off.setflags(write=False)
-            self._fixed_offsets[key] = off
+            self._offsets[shape, sigma] = off
         return off
-
-    def _build_offset(self, x, sigma):
-        if self.epsilon == 0.0:
-            return np.zeros(np.shape(x))
-        return (sigma * self.epsilon) * self._unit_direction(x).reshape(np.shape(x))
 
     def apply(self, x, sigma):
         out = self.base.apply(x, sigma)
@@ -168,8 +153,8 @@ class MismatchedPrior(Prior):
         return out + self.offset(x, sigma)
 
     def lipschitz(self, sigma):
-        # Declared constant of the underlying true prior; in fixed mode the
-        # offset is constant so the constant carries over exactly.
+        # Declared constant of the underlying true prior: the offset is
+        # constant, so the constant carries over exactly.
         return self.base.lipschitz(sigma)
 
 

@@ -221,7 +221,7 @@ def _matrix_objectives(fid, objective, x):
 
 class _MatrixStepper:
     """A real matrix fidelity with any prior, mismatched by none or by a
-    fixed-mode offset u around it (u = 0 without a mismatch).
+    fixed offset u around it (u = 0 without a mismatch).
 
     With K = A^T A + tau*I and c = A^T y, a step is x <- (I - gamma*K) x +
     gamma*(c + tau*u) + gamma*tau*D(x): one precomposed matrix product and
@@ -309,13 +309,11 @@ class _GenericStepper:
         self.hs = np.empty(xs.shape) if self.use_hat else self.gs  # the ones it steps by
         self.objectives = []  # of the block's recorded iterates, in order
         self.held = None  # G, G-hat and the objective of the held iterate
-        # The mismatch wrapper shares the base denoiser evaluation, so the
-        # true residual plus the known offset gives the mismatched residual
-        # for free.  A fixed-mode offset does not depend on the iterate:
-        # tau*offset is taken once.
-        self.shared_offset = isinstance(mismatched, MismatchedPrior) and mismatched.base is prior
+        # An offset around the true prior shares its denoiser evaluation and
+        # does not depend on the iterate: tau*offset is taken once, and the
+        # true residual less it is the mismatched residual.
         self.tau_offset = None
-        if self.shared_offset and mismatched.mode == "fixed":
+        if isinstance(mismatched, MismatchedPrior) and mismatched.base is prior:
             self.tau_offset = problem.tau * mismatched.offset(xs[0], problem.sigma)
 
     def _residuals(self, i, with_objective):
@@ -334,9 +332,6 @@ class _GenericStepper:
         if self.use_hat:
             if self.tau_offset is not None:
                 np.subtract(g, self.tau_offset, out=g_hat)
-            elif self.shared_offset:
-                np.multiply(p.mismatched.offset(xk, p.sigma), p.tau, out=g_hat)
-                np.subtract(g, g_hat, out=g_hat)
             else:
                 np.subtract(xk, p.mismatched.apply(xk, p.sigma), out=g_hat)
                 g_hat *= p.tau
@@ -386,14 +381,14 @@ class _GenericStepper:
 
 def _stepper(problem, config, xs, rows):
     """The stepper of a problem: the matrix stepper for a real matrix fidelity
-    with no mismatch or a fixed-mode one around the true prior, else the
+    with no mismatch or a fixed offset around the true prior, else the
     generic one."""
     fid, mismatched = problem.fidelity, problem.mismatched
     if not _real_matrix(fid):
         return _GenericStepper(problem, config, xs, rows)
     _check_shape("run_sd_red x0", xs[0], fid.op.input_shape)
     if mismatched is None or (isinstance(mismatched, MismatchedPrior)
-                              and mismatched.base is problem.prior and mismatched.mode == "fixed"):
+                              and mismatched.base is problem.prior):
         return _MatrixStepper(problem, config, xs, rows)
     return _GenericStepper(problem, config, xs, rows)
 
@@ -436,11 +431,11 @@ def run_sd_red(problem, config):
     objective of a block's recorded iterates:
 
     * matrix, for any prior on a real matrix fidelity, with no mismatch or
-      a fixed-mode one around the true prior: one precomposed matrix
+      a fixed offset around the true prior: one precomposed matrix
       product per step, into which an affine prior is folded (see
       :func:`affine_residual`); any other prior adds one prior call;
-    * generic, for everything else (Fourier operators, hashed mismatches,
-      and mismatches around a prior other than the true one): G, and
+    * generic, for everything else (Fourier operators, and mismatched
+      priors other than an offset around the true one): G, and
       G-hat, at every iterate with the arithmetic of :func:`residual`, and
       the step x - gamma*G-hat(x).
 

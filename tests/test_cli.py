@@ -3,13 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from sdred import cli
 from sdred.cli import main
 from sdred.config import SCHEMAS
-from sdred.io import read_tensor, read_trace_csv
+from sdred.io import read_tensor
 from sdred.theory import BoundReport
 
 
@@ -52,16 +51,11 @@ class TestReconCommand:
         assert main(["recon", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "mystery" in capsys.readouterr().err
 
-    def test_zero_epsilon_runs_identical_regardless_of_mode(self, tmp_path):
-        cfg_a = write_cfg(tmp_path, RECON_SMALL + "epsilon = 0\nmismatch_mode = fixed\n", "a.cfg")
-        cfg_b = write_cfg(tmp_path, RECON_SMALL + "epsilon = 0\nmismatch_mode = hashed\n", "b.cfg")
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["recon", "--config", cfg_a, "--out", str(out_a)]) == 0
-        assert main(["recon", "--config", cfg_b, "--out", str(out_b)]) == 0
-        assert np.array_equal(read_tensor(out_a / "final.mrt"), read_tensor(out_b / "final.mrt"))
-        ta = read_trace_csv(out_a / "trace.csv")
-        tb = read_trace_csv(out_b / "trace.csv")
-        assert ta == tb
+    def test_hashed_mismatch_mode_exits_2_naming_the_key(self, tmp_path, capsys):
+        # A mismatch is a fixed offset; "fixed" is the one mode left.
+        cfg = write_cfg(tmp_path, RECON_SMALL + "epsilon = 0.1\nmismatch_mode = hashed\n")
+        assert main(["recon", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "'mismatch_mode'" in capsys.readouterr().err
 
     def test_coil_recon_runs(self, tmp_path):
         cfg = write_cfg(tmp_path, RECON_SMALL + "coils = 3\n")
@@ -75,11 +69,16 @@ class TestReconCommand:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["recon", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 2
 
-    def test_internal_error_exits_4_not_1(self, tmp_path, capsys):
-        # recon verifies nothing, so a rejected step size is a crash, not a failed bound.
-        cfg = write_cfg(tmp_path, RECON_SMALL + "gamma = -1\n")
+    def test_internal_error_exits_4_not_1(self, tmp_path, capsys, monkeypatch):
+        # recon verifies nothing, so an error in the run is a crash, not a
+        # failed bound.  A valid config raises none, so the solver is made to.
+        def rejecting(problem, config):
+            raise ValueError("step size rejected")
+
+        monkeypatch.setattr(cli, "run_sd_red", rejecting)
+        cfg = write_cfg(tmp_path, RECON_SMALL)
         assert main(["recon", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
-        assert "gamma must be strictly positive" in capsys.readouterr().err
+        assert "step size rejected" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -112,18 +111,29 @@ class TestSweepCommand:
 
 
     @pytest.mark.filterwarnings("ignore:step size", "ignore::RuntimeWarning")
-    def test_failed_cells_are_listed_and_set_the_exit_status(self, tmp_path, capsys):
+    def test_failed_cells_are_listed_and_set_the_exit_status(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # A valid config fails no cell but by divergence, so the cells at
+        # tau = 2 are made to raise.
+        build = cli._build_recon
+
+        def failing_at_tau_2(cfg):
+            if cfg["tau"] == 2.0:
+                raise ValueError("cell rejected")
+            return build(cfg)
+
+        monkeypatch.setattr(cli, "_build_recon", failing_at_tau_2)
         grid = "num_lines = 10\nsize = 32\niters = 400\nsigma_grid = 1\nepsilon_grid = 0\n"
-        bad_tau = write_cfg(tmp_path, "kind = recon-gaussian-prior\ntau_grid = -1, 1\n" + grid,
+        bad_tau = write_cfg(tmp_path, "kind = recon-gaussian-prior\ntau_grid = 2, 1\n" + grid,
                             "bad.cfg")
         out = tmp_path / "bad"
         assert main(["sweep", "--config", bad_tau, "--out", str(out)]) == 4
-        assert (out / "failures.txt").read_text().startswith("cell 0 (tau=-1.0,")
+        assert (out / "failures.txt").read_text().startswith("cell 0 (tau=2.0,")
         assert len((out / "summary.csv").read_text().strip().splitlines()) == 2
         # A step far past both theorem ranges overflows the iterate: exit 3
         # even though another cell failed first for a different reason.
         diverging = write_cfg(
-            tmp_path, "kind = recon-gaussian-prior\ngamma = 1000\ntau_grid = -1, 1\n" + grid,
+            tmp_path, "kind = recon-gaussian-prior\ngamma = 1000\ntau_grid = 2, 1\n" + grid,
             "div.cfg",
         )
         out = tmp_path / "div"
@@ -234,6 +244,29 @@ class TestOracleCommand:
         cfg = write_cfg(tmp_path, self.ORACLE.replace("0.005", "3.0"))
         assert main(["oracle-1d", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "certificate" in capsys.readouterr().err
+
+
+class TestConfigurationErrors:
+    """A value that would crash a run, make it diverge or be silently ignored
+    exits 2 and names its key, in every command (tests/test_config.py has
+    the full list of such values)."""
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("recon", RECON_SMALL + "tau = -1", "tau"),
+        ("recon", RECON_SMALL + "epsilon = -0.1", "epsilon"),
+        ("sweep", "kind = linear-theory\ntau_grid = 1\nsigma_grid = 1\nepsilon_grid = 0, -0.1",
+         "epsilon_grid"),
+        ("prior-distance", "kind = recon-gaussian-prior\nsigma_grid = 1\ntest_points = 0",
+         "test_points"),
+        ("oracle-1d", "kind = oracle-1d\ndelta = 0.005\nsigma_grid = 1\nz_points = 0",
+         "z_points"),
+        ("verify-bounds", "kind = prox-prior-theory\ninstances = 1\nsigma = inf", "sigma"),
+    ], ids=["recon-tau", "recon-epsilon", "sweep", "prior-distance", "oracle-1d",
+            "verify-bounds"])
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, command, text, key):
+        cfg = write_cfg(tmp_path, text + "\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
 
 
 class TestSeedOverride:

@@ -1,6 +1,11 @@
+import sys
+from pathlib import Path
+
 import pytest
 
-from sdred.config import _REQUIRED, SCHEMAS, ConfigError, format_config, parse_pairs, resolve
+from sdred.config import _REQUIRED, SCHEMAS, ConfigError, format_config, load, parse_pairs, resolve
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 RECON_TV = """
@@ -23,6 +28,25 @@ class TestParsing:
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_pairs("a = 1\na = 2\n")
+
+
+# A valid config of each command, and the command.
+BASES = {
+    "recon": ("recon", RECON_TV),
+    "sweep": ("sweep", "kind = linear-theory\ntau_grid = 1\nsigma_grid = 1\nepsilon_grid = 0\n"),
+    "prior-distance": ("prior-distance", "kind = recon-gaussian-prior\nsigma_grid = 1\n"),
+    "oracle-1d": ("oracle-1d", "kind = oracle-1d\ndelta = 0.005\nsigma_grid = 1\n"),
+    "verify-linear": ("verify-bounds", "kind = linear-theory\n"),
+    "verify-prox": ("verify-bounds", "kind = prox-prior-theory\n"),
+}
+
+
+def with_lines(text, lines):
+    """``text`` with ``lines`` in place of the lines that set the same keys."""
+    new = lines.splitlines()
+    keys = {line.split("=")[0].strip() for line in new}
+    kept = [line for line in text.splitlines() if line.split("=")[0].strip() not in keys]
+    return "\n".join(kept + new) + "\n"
 
 
 class TestResolve:
@@ -68,6 +92,8 @@ class TestResolve:
     def test_mismatch_mode_choice(self):
         with pytest.raises(ConfigError, match="fixed"):
             resolve(RECON_TV + "mismatch_mode = diagonal\n", "recon")
+        with pytest.raises(ConfigError, match="'mismatch_mode'"):
+            resolve(RECON_TV + "mismatch_mode = hashed\n", "recon")
 
     @pytest.mark.parametrize(
         "text, command, key",
@@ -87,29 +113,96 @@ class TestResolve:
             resolve(text, command)
 
 
-    @pytest.mark.parametrize(
-        "kind, line, key",
-        [
-            ("linear-theory", "instances = 0", "instances"),
-            ("prox-prior-theory", "instances = -3", "instances"),
-            ("prox-prior-theory", "fstar_iters = 0", "fstar_iters"),
-            ("linear-theory", "n_max = 1", "n_max"),
-            ("prox-prior-theory", "iters = 0", "iters"),
-            ("prox-prior-theory", "eps_min = 0.6", "eps_min"),
-            ("linear-theory", "eps_min = -0.1", "eps_min"),
-            ("linear-theory", "lam_min = 0.8\nlam_max = 0.3", "lam_min"),
-            ("prox-prior-theory", "sigma = -1", "sigma"),
-            ("prox-prior-theory", "sigma = nan", "sigma"),
-        ],
-    )
-    def test_verify_counts_and_ranges_that_verify_nothing_name_key(self, kind, line, key):
+    @pytest.mark.parametrize("base, line", [
+        ("verify-linear", "instances = 0"),
+        ("verify-prox", "instances = -3"),
+        ("verify-prox", "fstar_iters = 0"),
+        ("verify-linear", "n_max = 1"),
+        ("verify-prox", "iters = 0"),
+        ("verify-prox", "eps_min = 0.6"),
+        ("verify-linear", "eps_min = -0.1"),
+        ("verify-linear", "lam_min = 0.8\nlam_max = 0.3"),
+        ("verify-prox", "sigma = -1"),
+        ("verify-prox", "sigma = nan"),
+        ("verify-prox", "sigma = inf"),
+        ("verify-prox", "slack = inf"),
+        ("recon", "tau = -1"),
+        ("recon", "tau = inf"),
+        ("recon", "tau = 0"),
+        ("recon", "gamma = -1"),
+        ("recon", "iters = 0"),
+        ("recon", "record_stride = 0"),
+        ("recon", "tolerance = -1"),
+        ("recon", "num_lines = 0"),
+        ("recon", "size = 16"),
+        ("recon", "tv_weight = 0"),
+        ("recon", "inner_iters = 0"),
+        ("recon", "sigma = nan"),
+        ("recon", "sigma = 0"),
+        ("recon", "epsilon = -0.1"),
+        ("recon", "seed = -1"),
+        ("recon", "seed = -1" + "0" * 400),
+        ("sweep", "epsilon_grid = 0, -0.1"),
+        ("sweep", "tau_grid = 1, -2"),
+        ("sweep", "sigma_grid = 1, nan"),
+        ("sweep", "n = 0"),
+        ("prior-distance", "epsilon = -0.1"),
+        ("prior-distance", "test_points = 0"),
+        ("prior-distance", "prior_mean = inf"),
+        ("oracle-1d", "z_points = 0"),
+        ("oracle-1d", "delta = nan"),
+    ])
+    def test_out_of_range_values_name_key(self, base, line):
+        command, text = BASES[base]
+        key = line.split("=")[0].strip()
         with pytest.raises(ConfigError, match=f"'{key}'"):
-            resolve(f"kind = {kind}\n{line}\n", "verify-bounds")
+            resolve(with_lines(text, line), command)
+
+    @pytest.mark.parametrize("base, line, value", [
+        ("recon", "gamma = 0", 0.0), ("recon", "epsilon = 0", 0.0),
+        ("verify-prox", "sigma = 0", 0.0), ("prior-distance", "size = 1", 1),
+        ("sweep", "epsilon_grid = 0, 0.1", [0.0, 0.1]),
+        ("recon", "seed = 1" + "0" * 400, 10 ** 400),
+    ])
+    def test_least_values_accepted(self, base, line, value):
+        # At 0, gamma, epsilon and verify-bounds sigma have meanings of their
+        # own.  An int beyond the float range is finite, so only its least
+        # value bounds it.
+        command, text = BASES[base]
+        key = line.split("=")[0].strip()
+        assert resolve(with_lines(text, line), command)[key] == value
 
     def test_verify_single_point_ranges_accepted(self):
         text = "kind = linear-theory\ninstances = 1\nn_max = 2\nlam_min = 0.5\nlam_max = 0.5\n"
         cfg = resolve(text + "eps_min = 0.2\neps_max = 0.2\n", "verify-bounds")
         assert (cfg["instances"], cfg["eps_min"], cfg["lam_max"]) == (1, 0.2, 0.5)
+
+
+# The command each shipped config is written for.
+SHIPPED = {
+    "oracle_1d.cfg": "oracle-1d", "prior_distance.cfg": "prior-distance",
+    "recon_tv.cfg": "recon", "recon_tv_mismatched.cfg": "recon", "sweep_linear.cfg": "sweep",
+    "verify_linear.cfg": "verify-bounds", "verify_prox.cfg": "verify-bounds",
+}
+
+
+class TestShippedConfigs:
+    def test_every_shipped_config_resolves(self):
+        assert sorted(path.name for path in (ROOT / "configs").glob("*.cfg")) == sorted(SHIPPED)
+        for name, command in SHIPPED.items():
+            load(ROOT / "configs" / name, command)
+
+    def test_every_benchmark_workload_config_resolves(self):
+        # The benchmark writes each call's config from its workload table.
+        if str(ROOT / "perfbench") not in sys.path:
+            sys.path.insert(0, str(ROOT / "perfbench"))
+        import workloads
+
+        assert workloads.WORKLOADS
+        for workload in workloads.WORKLOADS.values():
+            for index in range(2):
+                seed = workload.call_seed(7, index)
+                assert resolve(workload.config_text(seed), workload.command)["seed"] == seed
 
 
 class TestEcho:

@@ -209,6 +209,30 @@ class TestCoilOperator:
         with pytest.raises(ValueError):
             make_coil_operator(mask, np.ones((2, 4, 4)))
 
+    def test_spectral_norm_bounds_power_iteration_from_above(self):
+        rng = np.random.default_rng(14)
+        for lines in (1, 3, 8):
+            mask = make_radial_mask(8, 8, lines)
+            for coils in (1, 2, 4):
+                sens = rng.standard_normal((coils, 8, 8)) + 1j * rng.standard_normal((coils, 8, 8))
+                coil = make_coil_operator(mask, sens)
+                est = estimate_spectral_norm(coil, max_iters=2000, tol=1e-12)
+                assert coil.spectral_norm() >= est
+                assert np.isclose(coil.spectral_norm() ** 2,
+                                  (np.abs(sens) ** 2).sum(axis=0).max(), rtol=1e-14)
+
+    def test_spectral_norm_of_gaussian_maps_is_one_and_tight(self):
+        for lines, coils in ((3, 2), (8, 4), (40, 3)):
+            mask = make_radial_mask(32, 32, lines)
+            coil = make_coil_operator(mask, gaussian_coil_maps((32, 32), coils))
+            est = estimate_spectral_norm(coil, max_iters=2000, tol=1e-12)
+            assert coil.spectral_norm() == pytest.approx(1.0, abs=1e-12)
+            assert est <= coil.spectral_norm() <= est + 1e-3
+
+    def test_spectral_norm_of_empty_mask_is_zero(self):
+        mask = SamplingMask(np.zeros((8, 8), dtype=bool))
+        assert make_coil_operator(mask, gaussian_coil_maps((8, 8), 3)).spectral_norm() == 0.0
+
     def test_coil_maps_normalized(self):
         maps = gaussian_coil_maps((16, 16), 5)
         assert np.allclose((maps**2).sum(axis=0), 1.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdred.objectives import L1Norm
 from sdred.priors import (
@@ -112,24 +114,6 @@ class TestPerturbPrior:
         x = np.zeros(3)
         assert abs(np.linalg.norm(hat.offset(x, 2.0)) - 0.2) <= 1e-14
 
-    def test_hashed_direction_varies_but_saturates(self):
-        base = GaussianMapPrior(0.0, 1.0)
-        hat = perturb_prior(base, 0.2, mode="hashed")
-        rng = np.random.default_rng(4)
-        x1 = rng.standard_normal(6)
-        x2 = rng.standard_normal(6)
-        o1 = hat.apply(x1, 1.0) - base.apply(x1, 1.0)
-        o2 = hat.apply(x2, 1.0) - base.apply(x2, 1.0)
-        assert abs(np.linalg.norm(o1) - 0.2) <= 1e-12
-        assert abs(np.linalg.norm(o2) - 0.2) <= 1e-12
-        assert np.linalg.norm(o1 - o2) > 1e-3  # direction depends on the input
-
-    def test_hashed_direction_deterministic(self):
-        base = GaussianMapPrior(0.0, 1.0)
-        hat = perturb_prior(base, 0.2, mode="hashed")
-        x = np.random.default_rng(5).standard_normal(6)
-        assert np.array_equal(hat.apply(x, 1.0), hat.apply(x.copy(), 1.0))
-
     def test_fixed_offset_built_once_per_shape_and_sigma(self):
         hat = perturb_prior(GaussianMapPrior(0.0, 1.0), 0.3, mode="fixed", direction_seed=4)
         rng = np.random.default_rng(6)
@@ -145,21 +129,35 @@ class TestPerturbPrior:
         assert hat.offset(np.zeros((5, 1)), 2.0).shape == (5, 1)
         assert np.array_equal(hat.offset(np.zeros(1), 2.0), hat.offset(np.ones(1), 2.0))
 
-    def test_hashed_offset_follows_the_input(self):
-        hat = perturb_prior(GaussianMapPrior(0.0, 1.0), 0.2, mode="hashed")
-        rng = np.random.default_rng(7)
-        x1, x2 = rng.standard_normal(6), rng.standard_normal(6)
-        o1, o2 = hat.offset(x1, 1.0), hat.offset(x2, 1.0)
-        assert np.linalg.norm(o1 - o2) > 1e-3
-        assert np.array_equal(hat.offset(x1.copy(), 1.0), o1)
-        assert o1.flags.writeable
-
     def test_rejects_negative_epsilon_and_bad_mode(self):
         base = GaussianMapPrior(0.0, 1.0)
         with pytest.raises(ValueError):
             perturb_prior(base, -0.1)
-        with pytest.raises(ValueError):
-            MismatchedPrior(base, 0.1, mode="sideways")
+        for mode in ("sideways", "hashed"):
+            with pytest.raises(ValueError, match="mismatch mode"):
+                MismatchedPrior(base, 0.1, mode=mode)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 64), w=st.floats(0.01, 2.0), w_hat=st.floats(0.01, 2.0),
+       sigma=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_shifted_l1_prior_is_a_certified_mismatch(n, w, w_hat, sigma, seed):
+    """A Laplace rate shift w -> w_hat moves each soft threshold by at most
+    sigma^2*|w - w_hat|, so ||D_hat(x) - D(x)|| <= sigma*epsilon with epsilon
+    = sqrt(n)*sigma*|w - w_hat|, with equality once every |x_i| is at least
+    sigma^2*max(w, w_hat)."""
+    d, d_hat = ProximalPrior(L1Norm(w)), ProximalPrior(L1Norm(w_hat))
+    epsilon = math.sqrt(n) * sigma * abs(w - w_hat)
+    rng = np.random.default_rng(seed)
+    threshold = sigma**2 * max(w, w_hat)
+    x = 2.0 * threshold * rng.standard_normal(n)
+    outside = np.where(x < 0, -1.0, 1.0) * (threshold + np.abs(x))
+    for point, saturated in ((x, False), (outside, True)):
+        dist = float(np.linalg.norm(d_hat.apply(point, sigma) - d.apply(point, sigma)))
+        rounding = 1e-14 * math.sqrt(n) * (1.0 + float(np.abs(point).max()))
+        assert dist <= sigma * epsilon + rounding
+        if saturated:
+            assert dist >= sigma * epsilon - rounding
 
 
 class TestMismatchTable:

@@ -48,6 +48,33 @@ class TestResidual:
             residual(prob, np.zeros(1), use_mismatched=True)
 
 
+class TestInputGuards:
+    """Problem and SolverConfig reject values no run can use, whatever the caller."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("tau", -1.0, "tau must be strictly positive"),
+        ("tau", 0.0, "tau must be strictly positive"),
+        ("sigma", -1.0, "sigma must be strictly positive"),
+    ])
+    def test_problem(self, field, value, message):
+        fid = DataFidelity(MatrixOperator(np.array([[1.0]])), np.array([1.0]))
+        kwargs = {"tau": 1.0, "sigma": 1.0, field: value}
+        with pytest.raises(ValueError, match=message):
+            Problem(fidelity=fid, prior=LinearPrior(np.array([[0.5]])), **kwargs)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("gamma", -1.0, "gamma must be strictly positive"),
+        ("gamma", 0.0, "gamma must be strictly positive"),
+        ("max_iters", 0, "need at least one iteration"),
+        ("tol", -1.0, "tolerance must be nonnegative"),
+        ("record_stride", 0, "record stride must be at least 1"),
+    ])
+    def test_solver_config(self, field, value, message):
+        kwargs = {"gamma": 0.1, "max_iters": 1, field: value}
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**kwargs)
+
+
 @pytest.mark.filterwarnings("ignore:step size")
 class TestRedStep:
     """One SD-RED step x - gamma*G(x), as run_sd_red takes it."""
@@ -82,7 +109,7 @@ class TestRunSdRed:
         eps = 0.2
         prob = one_d_problem(epsilon=eps)
         # fixed direction on shape (1,) is the unit vector +-1; Ghat zero at (1 + tau*sigma*eps*u)/1.5
-        u = prob.mismatched._unit_direction(np.zeros(1))[0]
+        u = prob.mismatched.offset(np.zeros(1), prob.sigma)[0] / (prob.sigma * eps)
         xhat = (1.0 + eps * u) / 1.5
         cfg = SolverConfig(gamma=0.04, max_iters=3000, x_ref=np.array([2.0 / 3.0]))
         trace = run_sd_red(prob, cfg)

@@ -45,8 +45,11 @@ def build(family, mismatch, seed, with_objective):
     fewer measurements than unknowns), "tv" (8x8 Fourier sampling with the
     TV prox), "gaussian" (a dense matrix with a diagonal Gaussian MAP prior)
     and "gaussian-2d" (that prior on 8x8 Fourier sampling).
-    ``mismatch`` is None, "fixed" or "hashed" (wrapping the true prior), or
-    "separate" (a fixed-mode wrapper around an equal but distinct prior).
+    ``mismatch`` is None, "fixed" (an offset around the true prior),
+    "separate" (an offset around an equal but distinct prior) or "shifted"
+    (the family's prior with its parameter scaled by 1 - e: the l1 or TV
+    weight, the linear lambda or the Gaussian variances).  Every mismatch
+    draws e, the epsilon of the offsets, at the same place in the stream.
     """
     rng = np.random.default_rng(seed)
     if family in ("tv", "gaussian-2d"):
@@ -60,26 +63,30 @@ def build(family, mismatch, seed, with_objective):
     truth = rng.standard_normal(op.input_shape)
     fid = DataFidelity(op, op.forward(truth) + 0.1 * rng.standard_normal(op.output_shape))
     weight = float(rng.uniform(0.05, 0.3))
-    reg = AnisotropicTV(weight, inner_iters=10) if family == "tv" else L1Norm(weight)
     if family == "linear":
         n = op.input_shape[0]
         q, r = np.linalg.qr(rng.standard_normal((n, n)))
         lam = float(rng.uniform(0.2, 0.9))
         matrix, offset = lam * q * np.sign(np.diag(r)), 0.1 * rng.standard_normal(n)
-        make_prior = lambda: LinearPrior(matrix, offset)
+        make_prior = lambda scale=1.0: LinearPrior(scale * matrix, offset)
     elif family.startswith("gaussian"):
         mean = rng.standard_normal(op.input_shape)
         variances = rng.uniform(0.2, 2.0, op.input_shape)
-        make_prior = lambda: GaussianMapPrior(mean, variances)
+        make_prior = lambda scale=1.0: GaussianMapPrior(mean, scale * variances)
+    elif family == "tv":
+        make_prior = lambda scale=1.0: ProximalPrior(AnisotropicTV(scale * weight, inner_iters=10))
     else:
-        make_prior = lambda: ProximalPrior(reg)
+        make_prior = lambda scale=1.0: ProximalPrior(L1Norm(scale * weight))
     prior = make_prior()
+    reg = prior.reg if isinstance(prior, ProximalPrior) else L1Norm(weight)
     mismatched = None
-    if mismatch == "separate":
-        mismatched = perturb_prior(make_prior(), float(rng.uniform(0.0, 0.5)), direction_seed=seed)
-    elif mismatch is not None:
-        mismatched = perturb_prior(prior, float(rng.uniform(0.0, 0.5)), mode=mismatch,
-                                   direction_seed=seed)
+    if mismatch is not None:
+        e = float(rng.uniform(0.0, 0.5))
+        if mismatch == "shifted":
+            mismatched = make_prior(1.0 - e)
+        else:
+            mismatched = perturb_prior(make_prior() if mismatch == "separate" else prior, e,
+                                       direction_seed=seed)
     problem = Problem(fidelity=fid, prior=prior, tau=float(rng.uniform(0.5, 2.0)),
                       sigma=float(rng.uniform(0.5, 2.0)), mismatched=mismatched)
     return problem, (reg if with_objective else None), truth
@@ -94,13 +101,7 @@ def reference_run(problem, config):
 
     def diagnostics(xk):
         g = residual(problem, xk)
-        g_hat = None
-        if use_hat and problem.mismatched.mode == "hashed":
-            # A hashed direction depends on every bit of xk, so the reference
-            # takes the same route as the solver to stay bit-identical.
-            g_hat = g - problem.tau * problem.mismatched.offset(xk, problem.sigma)
-        elif use_hat:
-            g_hat = residual(problem, xk, use_mismatched=True)
+        g_hat = residual(problem, xk, use_mismatched=True) if use_hat else None
         obj = None
         if config.objective is not None:
             obj = problem.fidelity.value(xk) + config.objective.value(xk)
@@ -195,7 +196,7 @@ BLOCK_SIZES = [1, 8, 17, 50, solver.BLOCK_FLOATS]
 @settings(max_examples=60 * len(BLOCK_SIZES), deadline=None)
 @given(
     family=st.sampled_from(["linear", "l1", "l1-wide", "tv", "gaussian", "gaussian-2d"]),
-    mismatch=st.sampled_from([None, "fixed", "hashed", "separate"]),
+    mismatch=st.sampled_from([None, "fixed", "shifted", "separate"]),
     seed=st.integers(0, 2**32 - 1),
     with_objective=st.booleans(),
     iters=st.integers(1, 40),
@@ -225,7 +226,7 @@ def test_run_started_at_ground_truth_matches_reference_loop(mismatch):
 
 @settings(max_examples=50, deadline=None)
 @given(family=st.sampled_from(["linear", "gaussian"]),
-       mismatch=st.sampled_from([None, "fixed", "hashed"]), seed=st.integers(0, 2**32 - 1))
+       mismatch=st.sampled_from([None, "fixed", "shifted"]), seed=st.integers(0, 2**32 - 1))
 def test_affine_residual_agrees_with_residual(family, mismatch, seed):
     """K x - h is the true-prior residual G(x) at random x, whatever the mismatch."""
     problem, _, _ = build(family, mismatch, seed, with_objective=False)
@@ -262,8 +263,8 @@ def count_steps(problem, monkeypatch):
 
 def stepper_of(family, mismatch):
     """The stepper run_sd_red takes: "matrix" for a dense matrix without a
-    hashed or separate mismatch, else "generic"."""
-    if mismatch in ("hashed", "separate") or family in ("tv", "gaussian-2d"):
+    shifted or separate mismatch, else "generic"."""
+    if mismatch in ("shifted", "separate") or family in ("tv", "gaussian-2d"):
         return "generic"
     return "matrix"
 
@@ -286,7 +287,7 @@ def step_counts(stepper, family, steps, final_record, held_objective=False):
 
 
 @pytest.mark.parametrize("family", ["linear", "l1", "tv"])
-@pytest.mark.parametrize("mismatch", ["fixed", "hashed"])
+@pytest.mark.parametrize("mismatch", ["fixed", "shifted"])
 def test_divergence_index_matches_reference_loop(family, mismatch, monkeypatch):
     problem, objective, truth = build(family, mismatch, seed=11, with_objective=True)
     config = make_config(problem, objective, truth, iters=2000, stride=3, tol=0.0,
@@ -361,14 +362,14 @@ def test_other_priors_on_a_matrix_take_the_dense_path(family, mismatch, monkeypa
 
 @pytest.mark.parametrize("family, mismatch, seed", [
     *(pytest.param(family, mismatch, 4, id=f"{family}-{mismatch}") for family, mismatch in [
-        ("linear", "hashed"), ("gaussian", "hashed"), ("l1", "hashed"), ("l1", "separate"),
+        ("linear", "shifted"), ("gaussian", "shifted"), ("l1", "shifted"), ("l1", "separate"),
         ("tv", "fixed"), ("gaussian-2d", None), ("gaussian-2d", "fixed"),
     ]),
     *((family, "separate", seed) for family in ("linear", "gaussian") for seed in (0, 1, 2)),
 ])
 def test_other_problems_take_the_generic_path(family, mismatch, seed, monkeypatch):
-    """A separate mismatch wraps a prior other than the true one, so even an
-    affine one takes the generic path."""
+    """A shifted or separate mismatch is, or wraps, a prior other than the
+    true one, so even an affine one takes the generic path."""
     check_path("generic", family, mismatch, seed, monkeypatch)
 
 
@@ -398,15 +399,14 @@ def step_through(monkeypatch):
 
 
 # A seed per family and mismatch whose run reaches an exact fixed point in
-# 200-1300 steps.  A hashed offset moves with every bit of the iterate, so a
-# hashed mismatch holds only at epsilon = 0; its runs below take that value.
+# 200-1300 steps.
 HOLDING_SEEDS = {
-    ("linear", None): 5, ("linear", "fixed"): 5, ("linear", "hashed"): 5,
-    ("linear", "separate"): 5, ("l1", None): 11, ("l1", "fixed"): 11, ("l1", "hashed"): 11,
+    ("linear", None): 5, ("linear", "fixed"): 5, ("linear", "shifted"): 5,
+    ("linear", "separate"): 5, ("l1", None): 11, ("l1", "fixed"): 11, ("l1", "shifted"): 11,
     ("l1", "separate"): 11, ("l1-wide", None): 0, ("l1-wide", "fixed"): 0,
-    ("l1-wide", "hashed"): 0, ("l1-wide", "separate"): 0, ("gaussian", None): 0,
-    ("gaussian", "fixed"): 0, ("gaussian", "hashed"): 0, ("gaussian", "separate"): 0,
-    ("gaussian-2d", None): 4, ("gaussian-2d", "fixed"): 4, ("gaussian-2d", "hashed"): 4,
+    ("l1-wide", "shifted"): 0, ("l1-wide", "separate"): 0, ("gaussian", None): 0,
+    ("gaussian", "fixed"): 0, ("gaussian", "shifted"): 0, ("gaussian", "separate"): 0,
+    ("gaussian-2d", None): 4, ("gaussian-2d", "fixed"): 4, ("gaussian-2d", "shifted"): 4,
     ("gaussian-2d", "separate"): 0,
 }
 
@@ -422,8 +422,6 @@ def test_held_run_records_the_bytes_of_stepping_through(family, mismatch, offset
     rows put it just after, on and just before a block edge, and the filled
     rows cross the next edge."""
     problem, objective, truth = build(family, mismatch, HOLDING_SEEDS[family, mismatch], True)
-    if mismatch == "hashed":
-        problem.mismatched.epsilon = 0.0
     holds = spy_holds(monkeypatch)
     config = make_config(problem, objective, truth, 1500, stride, 0.0)
     run_sd_red(problem, config)
@@ -442,13 +440,11 @@ def test_held_run_records_the_bytes_of_stepping_through(family, mismatch, offset
     assert holds == [k]
 
 
-@pytest.mark.parametrize("family, mismatch", [
-    *(("tv", mismatch) for mismatch in (None, "fixed", "hashed", "separate")),
-    *((family, "hashed") for family in ("linear", "l1", "l1-wide", "gaussian", "gaussian-2d")),
-])
+@pytest.mark.parametrize("family, mismatch",
+                         [("tv", mismatch) for mismatch in (None, "fixed", "shifted", "separate")])
 def test_runs_that_never_hold_take_every_step(family, mismatch, monkeypatch):
-    """The problems missing from HOLDING_SEEDS reach no exact fixed point:
-    none of seeds 0-5 held within 3000 steps (nor seeds 0-3 of TV without
+    """The TV problems, missing from HOLDING_SEEDS, reach no exact fixed
+    point: none of seeds 0-5 held within 3000 steps (nor seeds 0-3 without
     or with a fixed mismatch within 20000).  Such a run takes every step and
     records what stepping through records."""
     problem, objective, truth = build(family, mismatch, 3, True)
